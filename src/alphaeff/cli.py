@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 I/O failure, 2 validation or data error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import dataio, harness, metrics, timeline
@@ -91,13 +90,18 @@ def _load_scenario(path: str) -> timeline.Timeline:
     return dataio.parse_scenario(_read_input(path))
 
 
-def _render_schedule(result: timeline.ScheduleResult, policy: str) -> str:
+def _schedule_regime(result: timeline.ScheduleResult) -> str:
     if result.alpha_eff is not None:
-        regime = result.alpha_eff.regime
+        return result.alpha_eff.regime
+    return metrics.classify_regime(result.speedup, result.k)
+
+
+def _render_schedule(result: timeline.ScheduleResult, policy: str) -> str:
+    regime = _schedule_regime(result)
+    if result.alpha_eff is not None:
         alpha_text = f"{float(result.alpha_eff):.6g}"
         serial_text = f"{1.0 - float(result.alpha_eff):.6g}"
     else:
-        regime = metrics.classify_regime(result.speedup, result.k)
         why = "k=1" if result.k == 1 else "no baseline work"
         alpha_text = serial_text = f"n/a ({why})"
     lines = [
@@ -126,24 +130,20 @@ def cmd_simulate(args) -> int:
     policy = _parse_policy(args.policy)
     result = timeline.simulate(tl, args.k, policy)
     if args.format == "json":
-        if result.alpha_eff is not None:
-            regime = result.alpha_eff.regime
-        else:
-            regime = metrics.classify_regime(result.speedup, result.k)
         doc = {
             "k": result.k,
             "policy": args.policy,
             "t_serial": result.t_serial,
             "t_total": result.t_total,
             "speedup": result.speedup,
-            "regime": regime,
+            "regime": _schedule_regime(result),
             "alpha_eff": None if result.alpha_eff is None else float(result.alpha_eff),
             "serial_fraction": None if result.alpha_eff is None else 1.0 - float(result.alpha_eff),
             "per_processor_busy": list(result.per_processor_busy),
             "per_processor_wait": list(result.per_processor_wait),
             "assignment": list(result.assignment),
         }
-        _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
+        _write_output(dataio._json_text(doc), args.output)
     else:
         _write_output(_render_schedule(result, args.policy), args.output)
     return 0
@@ -171,21 +171,21 @@ def cmd_surface(args) -> int:
         doc = {
             "k": grid.k,
             "chunk_time": grid.chunk_time,
-            "seq_values": grid.seq_values.tolist(),
-            "overhead_values": grid.overhead_values.tolist(),
-            "alpha": grid.alpha.tolist(),
+            "seq_values": list(grid.seq_values),
+            "overhead_values": list(grid.overhead_values),
+            "alpha": [list(row) for row in grid.alpha],
         }
-        _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
+        _write_output(dataio._json_text(doc), args.output)
         return 0
     blocks = []
-    for i, seq in enumerate(grid.seq_values):
+    for seq, row in zip(grid.seq_values, grid.alpha):
         lines = [
-            f"# series: seq={float(seq):.6g}",
+            f"# series: seq={seq:.6g}",
             "# xscale: linear",
             "# yscale: linear",
         ]
-        for j, ov in enumerate(grid.overhead_values):
-            lines.append(f"{float(ov)!r} {float(grid.alpha[i, j])!r}")
+        for ov, alpha in zip(grid.overhead_values, row):
+            lines.append(f"{ov!r} {alpha!r}")
         blocks.append("\n".join(lines))
     _write_output("\n\n\n".join(blocks) + "\n", args.output)
     return 0
@@ -240,7 +240,7 @@ def _fixture_summary(fixture: dataio.Fixture) -> str:
 def cmd_fixtures(args) -> int:
     if args.action == "list":
         if args.format == "json":
-            out = json.dumps(list(dataio.FIXTURE_IDS), indent=2) + "\n"
+            out = dataio._json_text(list(dataio.FIXTURE_IDS))
         else:
             out = "\n".join(dataio.FIXTURE_IDS) + "\n"
         _write_output(out, args.output)
@@ -267,7 +267,7 @@ def cmd_fixtures(args) -> int:
                     for label, pairs in fixture.published_serial_fraction.items()
                 },
             }
-            out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            out = dataio._json_text(doc)
         else:
             out = _fixture_summary(fixture)
         _write_output(out, args.output)
@@ -283,7 +283,7 @@ def cmd_fixtures(args) -> int:
                 for label, pairs in fixture.published_serial_fraction.items()
             },
         }
-        out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        out = dataio._json_text(doc)
     else:
         out = dataio.emit_published_serial_fractions(fixture)
     _write_output(out, args.output)

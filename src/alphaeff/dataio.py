@@ -194,6 +194,11 @@ def _as_text(source) -> str:
     raise TypeError(f"expected text, bytes or a readable object, got {type(source).__name__}")
 
 
+def _json_text(doc) -> str:
+    """The one JSON layout every document this package writes uses."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 _REQUIRED_COLUMNS = ("label", "k", "value", "kind")
 
 
@@ -366,7 +371,7 @@ def emit_measurements(series, format: str = "csv") -> str:
                 for s in series
             ]
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _json_text(doc)
     raise ValueError(f"unknown measurement format {format!r} (expected csv or json)")
 
 
@@ -581,7 +586,7 @@ def emit_reports(reports, format: str = "table", include_fit: bool = False) -> s
     if fmt == "csv":
         return _csv_lines(reports)
     if fmt == "json":
-        return json.dumps({"reports": [_report_dict(r) for r in reports]}, indent=2, sort_keys=True) + "\n"
+        return _json_text({"reports": [_report_dict(r) for r in reports]})
     raise ValueError(f"unknown report format {format!r} (expected table, csv or json)")
 
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
-import numpy as np
-
 from . import metrics
 
 __all__ = [
@@ -271,15 +269,27 @@ def surface(
 class SurfaceGrid:
     """alpha_eff sampled on a (sequential time) x (overhead fraction) grid.
 
-    ``alpha[i, j]`` corresponds to ``seq_values[i]`` and
-    ``overhead_values[j]``.
+    ``alpha[i][j]`` corresponds to ``seq_values[i]`` and
+    ``overhead_values[j]``; all three hold plain floats.
     """
 
     k: int
     chunk_time: float
-    seq_values: np.ndarray
-    overhead_values: np.ndarray
-    alpha: np.ndarray
+    seq_values: tuple[float, ...]
+    overhead_values: tuple[float, ...]
+    alpha: tuple[tuple[float, ...], ...]
+
+
+def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    # numpy.linspace's own formula, so the axes match it bit for bit,
+    # including its branch for a step that underflows to zero.
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0.0:
+        inner = (i / (n - 1) * delta + lo for i in range(n - 1))
+    else:
+        inner = (i * step + lo for i in range(n - 1))
+    return (*inner, hi)
 
 
 def sweep_surface(
@@ -304,12 +314,12 @@ def sweep_surface(
     if not isinstance(steps, int) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
 
-    seq_values = np.linspace(seq_lo, seq_hi, steps)
-    overhead_values = np.linspace(ov_lo, ov_hi, steps)
-    alpha = np.empty((steps, steps), dtype=float)
-    for i, seq in enumerate(seq_values):
-        for j, ov in enumerate(overhead_values):
-            alpha[i, j] = surface(float(seq), float(ov), k, chunk_time)
+    seq_values = _linspace(seq_lo, seq_hi, steps)
+    overhead_values = _linspace(ov_lo, ov_hi, steps)
+    alpha = tuple(
+        tuple(float(surface(seq, ov, k, chunk_time)) for ov in overhead_values)
+        for seq in seq_values
+    )
     return SurfaceGrid(
         k=k,
         chunk_time=float(chunk_time),

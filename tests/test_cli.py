@@ -442,3 +442,12 @@ class TestPlumbing:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == list(dataio.FIXTURE_IDS)
+
+    def test_import_loads_no_numpy(self):
+        # numpy's import alone used to be most of every CLI start.
+        code = ("import sys, alphaeff, alphaeff.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

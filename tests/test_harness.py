@@ -5,6 +5,7 @@ real execution is tested against generous bands (scheduler noise), and
 anything needing true parallelism is skipped on single-processor hosts.
 """
 
+import math
 import multiprocessing
 import os
 import sys
@@ -239,14 +240,26 @@ class TestRunSynthetic:
 
     @multi_cpu
     def test_control_overhead_lowers_measured_alpha(self):
+        # The expected gap (alpha_eff 0.5 vs 0.4 at k=2) is smaller than
+        # a shared host's speed drift over a few seconds, so the workloads
+        # take turns one repetition at a time, the first alternating,
+        # and each keeps its per-k minimum over its rounds.
         total = calibrate(0.25)
         lean = SyntheticWorkload(0.5, total, overhead_fraction=0.0,
-                                 k_list=(1, 2), repetitions=5)
+                                 k_list=(1, 2), repetitions=1)
         heavy = SyntheticWorkload(0.5, total, overhead_fraction=0.5,
-                                  k_list=(1, 2), repetitions=5)
-        alpha_of = lambda w: next(
-            r for r in analyze(run_synthetic(w)).rows if r.k == 2).alpha_eff
-        assert alpha_of(heavy) < alpha_of(lean)
+                                  k_list=(1, 2), repetitions=1)
+        best = {lean: {}, heavy: {}}
+        for round_ in range(6):
+            for w in (lean, heavy) if round_ % 2 == 0 else (heavy, lean):
+                for k, t in run_synthetic(w).points:
+                    best[w][k] = min(t, best[w].get(k, math.inf))
+        alpha_of = lambda w: metrics.alpha_eff(best[w][1] / best[w][2], 2)
+        # Heavy adds the same control time at k=1 and k=2, so it can only
+        # read lower while lean really speeds up.
+        assert alpha_of(heavy) < alpha_of(lean), (
+            f"minimum T(k): lean {best[lean]}, heavy {best[heavy]}; "
+            f"lean S(2) = {best[lean][1] / best[lean][2]:.3f}")
 
 
 # -------------------------------------------------------- workload_from_spec

@@ -8,7 +8,7 @@ are hand-summed from the bundled scenario definitions.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alphaeff import metrics
@@ -18,6 +18,7 @@ from alphaeff.timeline import (
     Segment,
     SegmentKind,
     Timeline,
+    _linspace,
     control,
     parallel_chunk,
     sequential,
@@ -275,10 +276,11 @@ class TestSurface:
 class TestSweepSurface:
     def test_grid_matches_pointwise_calls(self):
         grid = sweep_surface((0.0, 0.8), (0.0, 0.6), 5, 3, 0.25)
-        assert grid.alpha.shape == (5, 5)
+        assert len(grid.alpha) == 5
+        assert all(len(row) == 5 for row in grid.alpha)
         for i, seq in enumerate(grid.seq_values):
             for j, ov in enumerate(grid.overhead_values):
-                assert float(grid.alpha[i, j]) == surface(
+                assert float(grid.alpha[i][j]) == surface(
                     float(seq), float(ov), 3, 0.25
                 )
 
@@ -299,6 +301,24 @@ class TestSweepSurface:
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
             sweep_surface((0.0, 0.8), (0.0, 0.6), 1, 3, 0.25)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=finite_floats, hi=finite_floats, n=st.integers(min_value=2, max_value=200))
+def test_sweep_axes_match_numpy_linspace(lo, hi, n):
+    # numpy is only the oracle here; the package itself does not use it.
+    np = pytest.importorskip("numpy")
+    assume(hi > lo)
+    with np.errstate(all="ignore"):
+        expected = np.linspace(lo, hi, n).tolist()
+    # repr tells -0.0 from 0.0 and compares nan (from an overflowing
+    # range) with nan; == does neither.
+    axis = _linspace(lo, hi, n)
+    assert list(map(repr, axis)) == list(map(repr, expected))
+    assert all(type(v) is float for v in axis)
 
 
 # ---------------------------------------------------------- property tests
