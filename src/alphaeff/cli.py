@@ -99,8 +99,8 @@ def _schedule_regime(result: timeline.ScheduleResult) -> str:
 def _render_schedule(result: timeline.ScheduleResult, policy: str) -> str:
     regime = _schedule_regime(result)
     if result.alpha_eff is not None:
-        alpha_text = f"{float(result.alpha_eff):.6g}"
-        serial_text = f"{1.0 - float(result.alpha_eff):.6g}"
+        alpha_text = f"{result.alpha_eff:.6g}"
+        serial_text = f"{1.0 - result.alpha_eff:.6g}"
     else:
         why = "k=1" if result.k == 1 else "no baseline work"
         alpha_text = serial_text = f"n/a ({why})"
@@ -137,8 +137,8 @@ def cmd_simulate(args) -> int:
             "t_total": result.t_total,
             "speedup": result.speedup,
             "regime": _schedule_regime(result),
-            "alpha_eff": None if result.alpha_eff is None else float(result.alpha_eff),
-            "serial_fraction": None if result.alpha_eff is None else 1.0 - float(result.alpha_eff),
+            "alpha_eff": result.alpha_eff,
+            "serial_fraction": None if result.alpha_eff is None else 1.0 - result.alpha_eff,
             "per_processor_busy": list(result.per_processor_busy),
             "per_processor_wait": list(result.per_processor_wait),
             "assignment": list(result.assignment),
@@ -177,17 +177,11 @@ def cmd_surface(args) -> int:
         }
         _write_output(dataio._json_text(doc), args.output)
         return 0
-    blocks = []
-    for seq, row in zip(grid.seq_values, grid.alpha):
-        lines = [
-            f"# series: seq={seq:.6g}",
-            "# xscale: linear",
-            "# yscale: linear",
-        ]
-        for ov, alpha in zip(grid.overhead_values, row):
-            lines.append(f"{ov!r} {alpha!r}")
-        blocks.append("\n".join(lines))
-    _write_output("\n\n\n".join(blocks) + "\n", args.output)
+    blocks = (
+        (f"seq={seq:.6g}", "linear", "linear", zip(grid.overhead_values, row))
+        for seq, row in zip(grid.seq_values, grid.alpha)
+    )
+    _write_output(dataio._plot_text(blocks), args.output)
     return 0
 
 
@@ -248,6 +242,10 @@ def cmd_fixtures(args) -> int:
     if args.id is None:
         raise ValueError(f"fixtures {args.action} needs a fixture id")
     fixture = dataio.load_fixture(args.id)
+    published = {
+        label: [[k, v] for k, v in pairs]
+        for label, pairs in fixture.published_serial_fraction.items()
+    }
     if args.action == "show":
         if args.format == "json":
             doc = {
@@ -262,10 +260,7 @@ def cmd_fixtures(args) -> int:
                     }
                     for s in fixture.series
                 ],
-                "published_serial_fraction": {
-                    label: [[k, v] for k, v in pairs]
-                    for label, pairs in fixture.published_serial_fraction.items()
-                },
+                "published_serial_fraction": published,
             }
             out = dataio._json_text(doc)
         else:
@@ -276,14 +271,7 @@ def cmd_fixtures(args) -> int:
     if fixture.series:
         out = dataio.emit_measurements(fixture.series, args.format)
     elif args.format == "json":
-        doc = {
-            "id": fixture.id,
-            "published_serial_fraction": {
-                label: [[k, v] for k, v in pairs]
-                for label, pairs in fixture.published_serial_fraction.items()
-            },
-        }
-        out = dataio._json_text(doc)
+        out = dataio._json_text({"id": fixture.id, "published_serial_fraction": published})
     else:
         out = dataio.emit_published_serial_fractions(fixture)
     _write_output(out, args.output)

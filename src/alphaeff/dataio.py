@@ -103,8 +103,9 @@ class MeasurementSeries:
             raise ValueError(f"{self.label!r}: series needs at least one point")
         normalized.sort()
         ks = [k for k, _ in normalized]
-        if len(set(ks)) != len(ks):
-            dupes = sorted({k for k in ks if ks.count(k) > 1})
+        # ks is sorted, so every repeated k sits next to its twin.
+        dupes = sorted({k for k, after in zip(ks, ks[1:]) if k == after})
+        if dupes:
             raise ValueError(f"{self.label!r}: duplicate k values {dupes}")
         if self.value_kind is ValueKind.WALL_TIME and self.baseline_k not in set(ks):
             raise ValueError(
@@ -199,6 +200,28 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The one CSV layout every table this package writes uses."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _plot_text(blocks: Iterable[tuple[str, str, str, Iterable[tuple]]]) -> str:
+    """The one plot-block layout, for ``(series, xscale, yscale, points)`` blocks.
+
+    Points are written as ``repr(x) repr(y)`` lines; see :func:`emit_plot_data`.
+    """
+    texts = []
+    for series, xscale, yscale, points in blocks:
+        lines = [f"# series: {series}", f"# xscale: {xscale}", f"# yscale: {yscale}"]
+        lines.extend(f"{x!r} {y!r}" for x, y in points)
+        texts.append("\n".join(lines))
+    return "\n\n\n".join(texts) + "\n"
+
+
 _REQUIRED_COLUMNS = ("label", "k", "value", "kind")
 
 
@@ -245,31 +268,25 @@ def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
         warnings.warn("no measurement rows in input", stacklevel=3)
         return []
 
-    order: list[str] = []
-    by_label: dict[str, list[tuple[int, int, float]]] = {}
-    kind_of: dict[str, tuple[ValueKind, int]] = {}
+    # label -> (kind, line of its first row, k -> value), in order of first appearance.
+    groups: dict[str, tuple[ValueKind, int, dict[int, float]]] = {}
     for lineno, label, k, value, kind in rows:
-        if label not in by_label:
-            order.append(label)
-            by_label[label] = []
-            kind_of[label] = (kind, lineno)
-        elif kind is not kind_of[label][0]:
+        first_kind, first_line, points = groups.setdefault(label, (kind, lineno, {}))
+        if kind is not first_kind:
             raise DataFormatError(
-                f"line {lineno}: kind {kind.value!r} conflicts with {kind_of[label][0].value!r} "
-                f"for label {label!r} (line {kind_of[label][1]})"
+                f"line {lineno}: kind {kind.value!r} conflicts with {first_kind.value!r} "
+                f"for label {label!r} (line {first_line})"
             )
-        if any(k == seen_k for _, seen_k, _ in by_label[label]):
+        if k in points:
             raise DataFormatError(f"line {lineno}: duplicate k={k} for label {label!r}")
-        by_label[label].append((lineno, k, value))
-
-    out = []
-    for label in order:
-        points = tuple((k, v) for _, k, v in by_label[label])
-        try:
-            out.append(MeasurementSeries(label, points, kind_of[label][0]))
-        except ValueError as exc:
-            raise DataFormatError(str(exc))
-    return out
+        points[k] = value
+    try:
+        return [
+            MeasurementSeries(label, tuple(points.items()), kind)
+            for label, (kind, _, points) in groups.items()
+        ]
+    except ValueError as exc:
+        raise DataFormatError(str(exc))
 
 
 def _parse_json_measurements(text: str) -> list[MeasurementSeries]:
@@ -312,11 +329,12 @@ def _parse_json_measurements(text: str) -> list[MeasurementSeries]:
         baseline_k = entry.get("baseline_k", 1)
         if not isinstance(baseline_k, int) or isinstance(baseline_k, bool):
             raise DataFormatError(f"{where}: baseline_k must be an integer")
+        label = str(label)
         if label in seen:
             raise DataFormatError(f"{where}: duplicate label {label!r}")
         seen.add(label)
         try:
-            out.append(MeasurementSeries(str(label), tuple(points), kind, baseline_k))
+            out.append(MeasurementSeries(label, tuple(points), kind, baseline_k))
         except ValueError as exc:
             raise DataFormatError(f"{where}: {exc}")
     return out
@@ -352,13 +370,10 @@ def emit_measurements(series, format: str = "csv") -> str:
     series = list(series)
     fmt = format.strip().lower()
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_REQUIRED_COLUMNS)
-        for s in series:
-            for k, v in s.points:
-                writer.writerow([s.label, k, repr(v), s.value_kind.value])
-        return buf.getvalue()
+        return _csv_text(
+            _REQUIRED_COLUMNS,
+            ([s.label, k, repr(v), s.value_kind.value] for s in series for k, v in s.points),
+        )
     if fmt == "json":
         doc = {
             "series": [
@@ -419,24 +434,13 @@ def load_fixture(fixture_id: str) -> Fixture:
         )
         for entry in doc["series"]
     )
-    published = {
-        label: tuple((int(k), float(v)) for k, v in pairs)
-        for label, pairs in doc.get("published_serial_fraction", {}).items()
-    }
     return Fixture(
         id=doc["id"],
         description=doc["description"],
         series=series,
-        published_serial_fraction=published,
+        published_serial_fraction=doc.get("published_serial_fraction", {}),
         verifiable=bool(doc["verifiable"]),
     )
-
-
-_SCENARIO_KINDS = {
-    "S": timeline.sequential,
-    "P": timeline.parallel_chunk,
-    "C": timeline.control,
-}
 
 
 def parse_scenario(source) -> timeline.Timeline:
@@ -456,14 +460,15 @@ def parse_scenario(source) -> timeline.Timeline:
         where = f"segments[{i}]"
         if not isinstance(entry, dict) or "kind" not in entry or "duration" not in entry:
             raise DataFormatError(f'{where}: must be an object with "kind" and "duration"')
-        kind = entry["kind"]
-        if kind not in _SCENARIO_KINDS:
-            raise DataFormatError(f"{where}: unknown kind {kind!r} (expected S, P or C)")
+        try:
+            kind = timeline.SegmentKind(entry["kind"])
+        except ValueError:
+            raise DataFormatError(f"{where}: unknown kind {entry['kind']!r} (expected S, P or C)")
         duration = entry["duration"]
         if not isinstance(duration, (int, float)) or isinstance(duration, bool):
             raise DataFormatError(f"{where}: duration must be a number")
         try:
-            segments.append(_SCENARIO_KINDS[kind](float(duration)))
+            segments.append(timeline.Segment(kind, float(duration)))
         except ValueError as exc:
             raise DataFormatError(f"{where}: {exc}")
     try:
@@ -500,7 +505,7 @@ def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[st
                     _fmt_cell(row.k),
                     _fmt_cell(row.speedup),
                     _fmt_cell(row.efficiency),
-                    _fmt_cell(None if row.alpha_eff is None else float(row.alpha_eff)),
+                    _fmt_cell(row.alpha_eff),
                     _fmt_cell(row.serial_fraction),
                     row.regime,
                 )
@@ -525,26 +530,23 @@ def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[st
 
 
 def _csv_lines(reports: Sequence[ScalingReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["label", "k", "value", "kind", "efficiency", "alpha_eff", "serial_fraction", "regime"]
+    return _csv_text(
+        ("label", "k", "value", "kind", "efficiency", "alpha_eff", "serial_fraction", "regime"),
+        (
+            [
+                report.label,
+                row.k,
+                repr(row.speedup),
+                ValueKind.SPEEDUP.value,
+                repr(row.efficiency),
+                "" if row.alpha_eff is None else repr(row.alpha_eff),
+                "" if row.serial_fraction is None else repr(row.serial_fraction),
+                row.regime,
+            ]
+            for report in reports
+            for row in report.rows
+        ),
     )
-    for report in reports:
-        for row in report.rows:
-            writer.writerow(
-                [
-                    report.label,
-                    row.k,
-                    repr(row.speedup),
-                    ValueKind.SPEEDUP.value,
-                    repr(row.efficiency),
-                    "" if row.alpha_eff is None else repr(float(row.alpha_eff)),
-                    "" if row.serial_fraction is None else repr(row.serial_fraction),
-                    row.regime,
-                ]
-            )
-    return buf.getvalue()
 
 
 def _report_dict(report: ScalingReport) -> dict:
@@ -555,7 +557,7 @@ def _report_dict(report: ScalingReport) -> dict:
                 "k": row.k,
                 "speedup": row.speedup,
                 "efficiency": row.efficiency,
-                "alpha_eff": None if row.alpha_eff is None else float(row.alpha_eff),
+                "alpha_eff": row.alpha_eff,
                 "serial_fraction": row.serial_fraction,
                 "regime": row.regime,
             }
@@ -600,7 +602,7 @@ def emit_plot_data(reports, y_axis: str = "efficiency", xscale: str | None = Non
     """Emit 2-column plot blocks (``k value``) for external plotting tools.
 
     One block per report, separated by two blank lines, each headed by
-    ``# series:``, ``# xscale:`` and ``# yscale:`` comments.  ``y_axis``
+    comment lines naming the series and its x and y scale hints.  ``y_axis``
     is "efficiency" or "serial-fraction" (the latter skips k=1 rows).
     Scale hints default to the conventional views of this kind of data:
     efficiency on a log-k axis, serial fraction on a log value axis with
@@ -624,23 +626,12 @@ def emit_plot_data(reports, y_axis: str = "efficiency", xscale: str | None = Non
         if scale not in ("log", "linear"):
             raise ValueError(f"{name} must be log or linear, got {scale!r}")
 
-    blocks = []
-    for report in reports:
-        lines = [
-            f"# series: {report.label}",
-            f"# xscale: {xscale}",
-            f"# yscale: {yscale}",
-        ]
-        for row in report.rows:
-            if axis == "efficiency":
-                value = row.efficiency
-            else:
-                if row.serial_fraction is None:
-                    continue
-                value = row.serial_fraction
-            lines.append(f"{row.k} {value!r}")
-        blocks.append("\n".join(lines))
-    return "\n\n\n".join(blocks) + "\n"
+    def points(report):
+        if axis == "efficiency":
+            return [(row.k, row.efficiency) for row in report.rows]
+        return [(row.k, row.serial_fraction) for row in report.rows if row.serial_fraction is not None]
+
+    return _plot_text((report.label, xscale, yscale, points(report)) for report in reports)
 
 
 def emit_published_serial_fractions(fixture: Fixture) -> str:
@@ -651,10 +642,11 @@ def emit_published_serial_fractions(fixture: Fixture) -> str:
     """
     if not fixture.published_serial_fraction:
         raise ValueError(f"fixture {fixture.id!r} has no published serial fractions")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "k", "serial_fraction"])
-    for label, pairs in fixture.published_serial_fraction.items():
-        for k, value in pairs:
-            writer.writerow([label, k, repr(value)])
-    return buf.getvalue()
+    return _csv_text(
+        ("label", "k", "serial_fraction"),
+        (
+            [label, k, repr(value)]
+            for label, pairs in fixture.published_serial_fraction.items()
+            for k, value in pairs
+        ),
+    )

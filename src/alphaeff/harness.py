@@ -85,7 +85,8 @@ def available_processors() -> int:
 def calibrate(target_duration: float) -> int:
     """Find a spin-unit count that runs for about ``target_duration`` seconds.
 
-    Probes the host's spin rate, then refines once at the target size.
+    Probes the host's spin rate, then refines from the fastest of three
+    spins at the target size, the statistic the harness reports.
     The result is approximate by nature (scheduler noise, frequency
     scaling); expect the achieved time within roughly 20% of the target.
     Raises ValueError for a non-positive target or one too close to the
@@ -108,8 +109,16 @@ def calibrate(target_duration: float) -> int:
             break
         units *= 4
     estimate = max(1, round(units * target_duration / elapsed))
-    elapsed = _timed_spin(estimate)
+    elapsed = min(_timed_spin(estimate) for _ in range(3))
     return max(1, round(estimate * target_duration / elapsed))
+
+
+def _float_or_nan(value) -> float:
+    """``float(value)``, or nan (which every range check rejects) for a non-number."""
+    try:
+        return float(value)
+    except TypeError:
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -131,13 +140,13 @@ class SyntheticWorkload:
     repetitions: int = 3
 
     def __post_init__(self):
-        alpha = float(self.alpha_target)
+        alpha = _float_or_nan(self.alpha_target)
         if not (math.isfinite(alpha) and 0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha_target must lie in [0, 1], got {self.alpha_target!r}")
         object.__setattr__(self, "alpha_target", alpha)
         if not isinstance(self.total_work, int) or self.total_work < 1:
             raise ValueError(f"total_work must be a positive integer, got {self.total_work!r}")
-        overhead = float(self.overhead_fraction)
+        overhead = _float_or_nan(self.overhead_fraction)
         if not (math.isfinite(overhead) and overhead >= 0.0):
             raise ValueError(f"overhead_fraction must be >= 0, got {self.overhead_fraction!r}")
         object.__setattr__(self, "overhead_fraction", overhead)

@@ -443,6 +443,25 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == list(dataio.FIXTURE_IDS)
 
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["simulate", "-", "--k", "2"],
+         {"segments": [{"kind": [1], "duration": 1}]},
+         "error: segments[0]: unknown kind [1] (expected S, P or C)"),
+        # A lone [1] label is stored as the text "[1]"; a second one repeats it.
+        (["analyze", "-"],
+         {"series": [{"label": [1], "kind": "speedup", "points": [{"k": 1, "value": 1}]}] * 2},
+         "error: series[1]: duplicate label '[1]'"),
+        (["bench", "--spec", "-"],
+         {"alpha": [1], "total_ms": 1},
+         "error: alpha_target must lie in [0, 1], got [1]"),
+    ], ids=["scenario-kind", "series-label", "spec-alpha"])
+    def test_non_scalar_json_field_is_data_error(self, capsys, monkeypatch, argv, doc, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == message + "\n"
+
     def test_import_loads_no_numpy(self):
         # numpy's import alone used to be most of every CLI start.
         code = ("import sys, alphaeff, alphaeff.cli; "

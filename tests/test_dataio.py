@@ -11,6 +11,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaeff import metrics
 from alphaeff.dataio import (
@@ -131,6 +133,20 @@ class TestParseCsv:
         with pytest.raises(DataFormatError, match="baseline"):
             parse_measurements(text)
 
+    @pytest.mark.parametrize("text, message", [
+        # A kind conflict on line 3, then a non-numeric value on line 4.
+        ("label,k,value,kind\nx,1,1.0,time\nx,2,1.5,speedup\nx,4,abc,time\n",
+         "line 4: value must be a number, got 'abc'"),
+        # A duplicate k on line 3, then a negative value on line 4.
+        ("label,k,value,kind\nx,2,1.5,speedup\nx,2,1.6,speedup\nx,4,-2,speedup\n",
+         "line 4: value must be positive, got -2.0"),
+    ], ids=["kind-conflict-then-bad-number", "duplicate-k-then-negative"])
+    def test_field_errors_win_over_earlier_grouping_errors(self, text, message):
+        # Every line's fields are checked before any rows are grouped by label.
+        with pytest.raises(DataFormatError) as info:
+            parse_measurements(text)
+        assert str(info.value) == message
+
     def test_comment_lines_do_not_shift_line_numbers(self):
         text = "# c1\nlabel,k,value,kind\n# c2\nx,2,oops,speedup\n"
         with pytest.raises(DataFormatError, match="line 4"):
@@ -189,6 +205,10 @@ class TestParseJson:
         ]}
         with pytest.raises(DataFormatError, match="duplicate label"):
             parse_measurements(json.dumps(doc), format="json")
+        # Labels are stored as text, so 1 and "1" name the same series.
+        doc["series"][0]["label"], doc["series"][1]["label"] = 1, "1"
+        with pytest.raises(DataFormatError, match="series\\[1\\]: duplicate label '1'"):
+            parse_measurements(json.dumps(doc), format="json")
 
 
 # -------------------------------------------------------- MeasurementSeries
@@ -218,6 +238,19 @@ class TestMeasurementSeries:
             MeasurementSeries("x", ((2, 1.0), (2, 1.1)), ValueKind.SPEEDUP)
         with pytest.raises(ValueError, match="baseline"):
             MeasurementSeries("x", ((2, 5.0),), ValueKind.WALL_TIME)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ks=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=60))
+    def test_duplicate_k_message_matches_reference(self, ks):
+        points = tuple((k, 1.0) for k in ks)
+        # Reference formula: every k that occurs more than once, listed once.
+        dupes = sorted({k for k in ks if ks.count(k) > 1})
+        if not dupes:
+            assert len(MeasurementSeries("x", points, ValueKind.SPEEDUP).points) == len(ks)
+            return
+        with pytest.raises(ValueError) as info:
+            MeasurementSeries("x", points, ValueKind.SPEEDUP)
+        assert str(info.value) == f"'x': duplicate k values {dupes}"
 
 
 # ----------------------------------------------------------------- analyze
