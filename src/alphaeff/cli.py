@@ -51,7 +51,7 @@ def _regime_suffix(regime: str) -> str:
     return "" if regime == metrics.NORMAL else f" ({regime})"
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     if args.input.startswith(_FIXTURE_SCHEME):
         fixture = dataio.load_fixture(args.input[len(_FIXTURE_SCHEME):])
         if not fixture.series:
@@ -68,8 +68,7 @@ def cmd_analyze(args) -> int:
     out = dataio.emit_reports(reports, args.format, include_fit=args.fit)
     if args.plot and reports:
         out += "\n" + dataio.emit_plot_data(reports, args.plot, args.xscale, args.yscale)
-    _write_output(out, args.output)
-    return 0
+    return out
 
 
 def _parse_policy(text: str):
@@ -125,7 +124,7 @@ def _render_schedule(result: timeline.ScheduleResult, policy: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     tl = _load_scenario(args.scenario)
     policy = _parse_policy(args.policy)
     result = timeline.simulate(tl, args.k, policy)
@@ -143,10 +142,8 @@ def cmd_simulate(args) -> int:
             "per_processor_wait": list(result.per_processor_wait),
             "assignment": list(result.assignment),
         }
-        _write_output(dataio._json_text(doc), args.output)
-    else:
-        _write_output(_render_schedule(result, args.policy), args.output)
-    return 0
+        return dataio._json_text(doc)
+    return _render_schedule(result, args.policy)
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -159,7 +156,7 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise ValueError(f"range bounds must be numbers, got {text!r}")
 
 
-def cmd_surface(args) -> int:
+def cmd_surface(args) -> str:
     grid = timeline.sweep_surface(
         _parse_range(args.seq_range),
         _parse_range(args.overhead_range),
@@ -175,14 +172,12 @@ def cmd_surface(args) -> int:
             "overhead_values": list(grid.overhead_values),
             "alpha": [list(row) for row in grid.alpha],
         }
-        _write_output(dataio._json_text(doc), args.output)
-        return 0
+        return dataio._json_text(doc)
     blocks = (
         (f"seq={seq:.6g}", "linear", "linear", zip(grid.overhead_values, row))
         for seq, row in zip(grid.seq_values, grid.alpha)
     )
-    _write_output(dataio._plot_text(blocks), args.output)
-    return 0
+    return dataio._plot_text(blocks)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -192,7 +187,7 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> str:
     if args.spec is not None:
         workload = harness.workload_from_spec(_read_input(args.spec))
     else:
@@ -206,8 +201,7 @@ def cmd_bench(args) -> int:
             repetitions=args.reps,
         )
     series = harness.run_synthetic(workload, args.max_oversubscription)
-    _write_output(dataio.emit_measurements([series], args.format), args.output)
-    return 0
+    return dataio.emit_measurements([series], args.format)
 
 
 def _fixture_summary(fixture: dataio.Fixture) -> str:
@@ -231,14 +225,11 @@ def _fixture_summary(fixture: dataio.Fixture) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_fixtures(args) -> int:
+def cmd_fixtures(args) -> str:
     if args.action == "list":
         if args.format == "json":
-            out = dataio._json_text(list(dataio.FIXTURE_IDS))
-        else:
-            out = "\n".join(dataio.FIXTURE_IDS) + "\n"
-        _write_output(out, args.output)
-        return 0
+            return dataio._json_text(list(dataio.FIXTURE_IDS))
+        return "\n".join(dataio.FIXTURE_IDS) + "\n"
     if args.id is None:
         raise ValueError(f"fixtures {args.action} needs a fixture id")
     fixture = dataio.load_fixture(args.id)
@@ -262,20 +253,14 @@ def cmd_fixtures(args) -> int:
                 ],
                 "published_serial_fraction": published,
             }
-            out = dataio._json_text(doc)
-        else:
-            out = _fixture_summary(fixture)
-        _write_output(out, args.output)
-        return 0
+            return dataio._json_text(doc)
+        return _fixture_summary(fixture)
     # export
     if fixture.series:
-        out = dataio.emit_measurements(fixture.series, args.format)
-    elif args.format == "json":
-        out = dataio._json_text({"id": fixture.id, "published_serial_fraction": published})
-    else:
-        out = dataio.emit_published_serial_fractions(fixture)
-    _write_output(out, args.output)
-    return 0
+        return dataio.emit_measurements(fixture.series, args.format)
+    if args.format == "json":
+        return dataio._json_text({"id": fixture.id, "published_serial_fraction": published})
+    return dataio.emit_published_serial_fractions(fixture)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,7 +340,8 @@ def main(argv=None) -> int:
     if args.command == "fixtures" and args.format is None:
         args.format = "csv" if args.action == "export" else "table"
     try:
-        return args.func(args)
+        _write_output(args.func(args), args.output)
+        return 0
     except BrokenPipeError:
         # Downstream closed the pipe (e.g. `| head`); not our failure.
         try:

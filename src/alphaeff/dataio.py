@@ -4,7 +4,8 @@ Measurement files carry one or more labeled series of (k, value) points
 where the value is a wall time, a speedup, or an efficiency:
 
 * CSV: header ``label,k,value,kind`` (extra columns ignored), kind one of
-  ``time``/``speedup``/``efficiency``, ``#`` comment lines skipped.
+  ``time``/``speedup``/``efficiency``, ``#`` comment lines between
+  records skipped; a quoted field may span lines.
 * JSON: ``{"series": [{"label", "kind", "baseline_k"?, "points":
   [{"k", "value"}, ...]}]}``.
 
@@ -225,14 +226,39 @@ def _plot_text(blocks: Iterable[tuple[str, str, str, Iterable[tuple]]]) -> str:
 _REQUIRED_COLUMNS = ("label", "k", "value", "kind")
 
 
+def _csv_records(text: str) -> Iterable[tuple[int, list[str]]]:
+    """Each CSV record of ``text`` as (its first line, its stripped fields).
+
+    Blank and ``#`` lines are skipped between records only: inside an
+    open quoted field they are data.  The reader decides where a record
+    ends, since a bare ``"`` inside an unquoted field is literal.
+    """
+    start = None  # first line of the record being read; None between records
+
+    def lines():
+        nonlocal start
+        for lineno, raw in enumerate(text.splitlines(keepends=True), 1):
+            if start is None:
+                stripped = raw.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                start = lineno
+            yield raw
+        if start is not None:  # the reader wants more of an open record
+            raise DataFormatError(f"line {start}: unterminated quoted field")
+
+    try:
+        for fields in csv.reader(lines()):
+            first, start = start, None
+            yield first, [f.strip() for f in fields]
+    except csv.Error as exc:
+        raise DataFormatError(f"line {start}: {exc}")
+
+
 def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
     columns = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = [f.strip() for f in next(csv.reader([raw]))]
+    for lineno, fields in _csv_records(text):
         if columns is None:
             missing = [c for c in _REQUIRED_COLUMNS if c not in fields]
             if missing:

@@ -7,11 +7,14 @@ workers genuinely contend for cores; workers are separate processes, so
 the interpreter lock does not serialize them.
 
 Per measured k the harness executes the serial share, then for each of
-the k chunks spins the chunk's control overhead serially and launches
-its worker; a barrier releases all workers together once the control
-work is done, mirroring the model where control serializes and chunks
-then run concurrently.  Reported time per k is the minimum across
-repetitions, the usual noise-suppressing choice for wall times.
+the k chunks spins the chunk's control overhead serially and forks its
+worker.  Every worker waits on one pipe; closing its write end once the
+control work is done releases them all together, mirroring the model
+where control serializes and chunks then run concurrently.  Workers
+always start by ``os.fork`` (the harness is POSIX-only) and the parent
+only reaps them, so a worker that dies early cannot stall it.  Reported
+time per k is the minimum across repetitions, the usual
+noise-suppressing choice for wall times.
 
 Repetitions are interleaved across k (the first repetition of every k,
 then the second, ...), so a slow drift in host speed touches every k
@@ -27,7 +30,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -58,8 +60,8 @@ _MASK64 = (1 << 64) - 1
 def _spin(units: int) -> int:
     """Busy-work kernel: `units` steps of a 64-bit linear congruential walk.
 
-    Returns the final accumulator, which callers propagate outward so
-    the work is observable and cannot be elided.
+    Returns the final accumulator.  The parent logs its own as a
+    checksum; a worker exits 0 only after its spin has returned.
     """
     acc = 0x9E3779B97F4A7C15
     for _ in range(units):
@@ -177,9 +179,9 @@ def _split_chunks(workload: SyntheticWorkload, k: int) -> tuple[int, list[int], 
     return serial_units, chunk_units, control_units
 
 
-def _worker(units: int, barrier, queue) -> None:
-    barrier.wait()
-    queue.put(_spin(units))
+def _worker(units: int, release: int) -> None:
+    os.read(release, 1)  # EOF once the parent closes the write end
+    _spin(units)
 
 
 def _placement(k: int) -> list[int] | None:
@@ -191,37 +193,39 @@ def _placement(k: int) -> list[int] | None:
 
 
 def _measure_once(serial_units: int, chunk_units: list[int], control_units: list[int]) -> float:
-    ctx = multiprocessing.get_context()
     cpus = _placement(len(chunk_units))
-    barrier = ctx.Barrier(len(chunk_units) + 1)
-    queue = ctx.SimpleQueue()
-    procs = [ctx.Process(target=_worker, args=(units, barrier, queue)) for units in chunk_units]
+    release_r, release_w = os.pipe()
+    pids = []
 
     t0 = time.perf_counter()
     checksum = _spin(serial_units)
     try:
-        for i, (proc, ctl) in enumerate(zip(procs, control_units)):
+        for i, (units, ctl) in enumerate(zip(chunk_units, control_units)):
             checksum ^= _spin(ctl)
-            proc.start()
+            pid = os.fork()
+            if pid == 0:  # the worker, which never returns into the caller
+                code = 1
+                try:
+                    os.close(release_w)
+                    _worker(units, release_r)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
             if cpus is not None:
-                os.sched_setaffinity(proc.pid, {cpus[i]})
-        barrier.wait()
-        for proc in procs:
-            proc.join()
+                os.sched_setaffinity(pid, {cpus[i]})
     except OSError as exc:
-        barrier.abort()
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
         raise RuntimeError(f"worker spawn failed: {exc}")
+    finally:
+        # Release and reap every started worker, also after a failed spawn.
+        os.close(release_w)
+        os.close(release_r)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     elapsed = time.perf_counter() - t0
 
-    for proc in procs:
-        if proc.exitcode != 0:
-            raise RuntimeError(f"worker exited with code {proc.exitcode}")
-    for _ in procs:
-        checksum ^= queue.get()
+    for code in codes:
+        if code != 0:
+            raise RuntimeError(f"worker exited with code {code}")
     logger.debug("measured %.6fs (checksum %016x)", elapsed, checksum)
     return elapsed
 

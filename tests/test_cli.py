@@ -463,9 +463,11 @@ class TestPlumbing:
         assert err == message + "\n"
 
     def test_import_loads_no_numpy(self):
-        # numpy's import alone used to be most of every CLI start.
+        # numpy's import alone used to be most of every CLI start, and
+        # multiprocessing's a tenth of it; the harness needs neither.
         code = ("import sys, alphaeff, alphaeff.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('numpy', 'multiprocessing')))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

@@ -152,6 +152,28 @@ class TestParseCsv:
         with pytest.raises(DataFormatError, match="line 4"):
             parse_measurements(text)
 
+    def test_comment_with_quote_between_records_skipped(self):
+        text = 'label,k,value,kind\nx,1,1.0,speedup\n# note, "x\nx,2,1.8,speedup\n'
+        assert parse_measurements(text)[0].points == ((1, 1.0), (2, 1.8))
+
+    def test_record_spanning_lines_reported_at_its_first_line(self):
+        text = 'label,k,value,kind\n"a\nb",1,1.0,speedup\n"a\nb",2,oops,speedup\n'
+        with pytest.raises(DataFormatError, match="^line 4: value must be a number"):
+            parse_measurements(text)
+
+    @pytest.mark.parametrize("text", [
+        'label,k,value,kind\nx,1,1.0,speedup,"note\nx,2,1.8,speedup\n',
+        'label,k,value,kind\n"x,1,1.0,speedup\n',
+    ], ids=["swallowing-later-rows", "last-line"])
+    def test_unterminated_quote_rejected(self, text):
+        with pytest.raises(DataFormatError, match="^line 2: unterminated quoted field$"):
+            parse_measurements(text)
+
+    def test_unterminated_quote_over_field_limit_rejected(self):
+        text = 'label,k,value,kind\n"a,1,1.0,speedup\n' + "b,2,1.8,speedup\n" * 10_000
+        with pytest.raises(DataFormatError, match="^line 2: field larger than field limit"):
+            parse_measurements(text)
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown measurement format"):
             parse_measurements(CSV_SMOKE, format="tsv")
@@ -432,6 +454,12 @@ class TestEmitMeasurements:
                               ValueKind.SPEEDUP)
         back = parse_measurements(emit_measurements(s))[0]
         assert back.points == s.points
+
+    def test_csv_round_trip_label_spanning_lines(self):
+        # A blank line and a '#' line inside a quoted field are data.
+        series = [MeasurementSeries('a\n\n# b, "c"', ((1, 1.0), (2, 1.8)), ValueKind.SPEEDUP),
+                  MeasurementSeries("d", ((1, 1.0),), ValueKind.SPEEDUP)]
+        assert parse_measurements(emit_measurements(series)) == series
 
     def test_json_round_trip(self):
         doc = {"series": [{"label": "solver", "kind": "time", "baseline_k": 2,

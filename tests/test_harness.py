@@ -6,9 +6,8 @@ anything needing true parallelism is skipped on single-processor hosts.
 """
 
 import math
-import multiprocessing
 import os
-import sys
+import signal
 
 import pytest
 
@@ -30,10 +29,6 @@ multi_cpu = pytest.mark.skipif(
 has_affinity = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"),
     reason="needs os.sched_setaffinity")
-
-fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="monkeypatched worker needs fork inheritance")
 
 
 # ------------------------------------------------------- SyntheticWorkload
@@ -191,16 +186,49 @@ class TestRunSynthetic:
         with pytest.raises(ValueError, match="hard cap"):
             run_synthetic(w, max_oversubscription=1)
 
-    @fork_only
     def test_failing_worker_surfaces_as_runtime_error(self, monkeypatch):
-        def bad_worker(units, barrier, queue):
-            barrier.wait()
-            sys.exit(5)
+        def bad_worker(units, release):
+            os.read(release, 1)
+            os._exit(5)
 
         monkeypatch.setattr(harness, "_worker", bad_worker)
         w = SyntheticWorkload(0.5, 1000, k_list=(1,), repetitions=1)
         with pytest.raises(RuntimeError, match="exited with code 5"):
             run_synthetic(w)
+
+    def test_worker_dying_before_release_does_not_hang(self, monkeypatch):
+        def hung(signum, frame):
+            raise TimeoutError("run_synthetic still waiting after 10 s")
+
+        monkeypatch.setattr(harness, "_worker", lambda units, release: os._exit(3))
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(RuntimeError, match="exited with code 3"):
+                run_synthetic(SyntheticWorkload(0.5, 1000, k_list=(2,), repetitions=1))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @has_affinity
+    def test_spawn_failure_reaps_workers_and_closes_pipe(self, monkeypatch):
+        cpu = min(os.sched_getaffinity(0))
+        pinned = []
+
+        def pin(pid, mask):
+            pinned.append(pid)
+            if len(pinned) == 2:
+                raise OSError("pinning refused")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu, cpu + 1})
+        monkeypatch.setattr(os, "sched_setaffinity", pin)
+        fds = sorted(os.listdir("/dev/fd"))
+        with pytest.raises(RuntimeError, match="worker spawn failed: pinning refused"):
+            harness._measure_once(0, [1000, 1000], [0, 0])
+        assert len(pinned) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/dev/fd")) == fds
 
     def test_repetitions_interleave_across_k(self, monkeypatch):
         measured = []
