@@ -89,14 +89,8 @@ def _load_scenario(path: str) -> timeline.Timeline:
     return dataio.parse_scenario(_read_input(path))
 
 
-def _schedule_regime(result: timeline.ScheduleResult) -> str:
-    if result.alpha_eff is not None:
-        return result.alpha_eff.regime
-    return metrics.classify_regime(result.speedup, result.k)
-
-
 def _render_schedule(result: timeline.ScheduleResult, policy: str) -> str:
-    regime = _schedule_regime(result)
+    regime = metrics.classify_regime(result.speedup, result.k)
     if result.alpha_eff is not None:
         alpha_text = f"{result.alpha_eff:.6g}"
         serial_text = f"{1.0 - result.alpha_eff:.6g}"
@@ -135,12 +129,12 @@ def cmd_simulate(args) -> str:
             "t_serial": result.t_serial,
             "t_total": result.t_total,
             "speedup": result.speedup,
-            "regime": _schedule_regime(result),
+            "regime": metrics.classify_regime(result.speedup, result.k),
             "alpha_eff": result.alpha_eff,
             "serial_fraction": None if result.alpha_eff is None else 1.0 - result.alpha_eff,
-            "per_processor_busy": list(result.per_processor_busy),
-            "per_processor_wait": list(result.per_processor_wait),
-            "assignment": list(result.assignment),
+            "per_processor_busy": result.per_processor_busy,
+            "per_processor_wait": result.per_processor_wait,
+            "assignment": result.assignment,
         }
         return dataio._json_text(doc)
     return _render_schedule(result, args.policy)
@@ -168,9 +162,9 @@ def cmd_surface(args) -> str:
         doc = {
             "k": grid.k,
             "chunk_time": grid.chunk_time,
-            "seq_values": list(grid.seq_values),
-            "overhead_values": list(grid.overhead_values),
-            "alpha": [list(row) for row in grid.alpha],
+            "seq_values": grid.seq_values,
+            "overhead_values": grid.overhead_values,
+            "alpha": grid.alpha,
         }
         return dataio._json_text(doc)
     blocks = (
@@ -228,15 +222,11 @@ def _fixture_summary(fixture: dataio.Fixture) -> str:
 def cmd_fixtures(args) -> str:
     if args.action == "list":
         if args.format == "json":
-            return dataio._json_text(list(dataio.FIXTURE_IDS))
+            return dataio._json_text(dataio.FIXTURE_IDS)
         return "\n".join(dataio.FIXTURE_IDS) + "\n"
     if args.id is None:
         raise ValueError(f"fixtures {args.action} needs a fixture id")
     fixture = dataio.load_fixture(args.id)
-    published = {
-        label: [[k, v] for k, v in pairs]
-        for label, pairs in fixture.published_serial_fraction.items()
-    }
     if args.action == "show":
         if args.format == "json":
             doc = {
@@ -244,14 +234,10 @@ def cmd_fixtures(args) -> str:
                 "description": fixture.description,
                 "verifiable": fixture.verifiable,
                 "series": [
-                    {
-                        "label": s.label,
-                        "kind": s.value_kind.value,
-                        "points": [[k, v] for k, v in s.points],
-                    }
+                    {"label": s.label, "kind": s.value_kind.value, "points": s.points}
                     for s in fixture.series
                 ],
-                "published_serial_fraction": published,
+                "published_serial_fraction": fixture.published_serial_fraction,
             }
             return dataio._json_text(doc)
         return _fixture_summary(fixture)
@@ -259,7 +245,9 @@ def cmd_fixtures(args) -> str:
     if fixture.series:
         return dataio.emit_measurements(fixture.series, args.format)
     if args.format == "json":
-        return dataio._json_text({"id": fixture.id, "published_serial_fraction": published})
+        return dataio._json_text(
+            {"id": fixture.id, "published_serial_fraction": fixture.published_serial_fraction}
+        )
     return dataio.emit_published_serial_fractions(fixture)
 
 

@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -355,7 +356,8 @@ def _parse_json_measurements(text: str) -> list[MeasurementSeries]:
         baseline_k = entry.get("baseline_k", 1)
         if not isinstance(baseline_k, int) or isinstance(baseline_k, bool):
             raise DataFormatError(f"{where}: baseline_k must be an integer")
-        label = str(label)
+        if not isinstance(label, str):
+            raise DataFormatError(f"{where}: label must be a string, got {label!r}")
         if label in seen:
             raise DataFormatError(f"{where}: duplicate label {label!r}")
         seen.add(label)
@@ -518,32 +520,27 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-_TABLE_COLUMNS = ("label", "k", "speedup", "efficiency", "alpha_eff", "serial_fraction", "regime")
+# The per-k fields of a report row, in the order every report format writes them.
+_ROW_FIELDS = ("k", "speedup", "efficiency", "alpha_eff", "serial_fraction", "regime")
+_row_values = operator.attrgetter(*_ROW_FIELDS)
 
 
 def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[str]:
+    header = ("label", *_ROW_FIELDS)
+    # A plain loop: calling _fmt_cell from Python is cheaper than through map().
     body = []
     for report in reports:
-        for row in report.rows:
-            body.append(
-                (
-                    report.label,
-                    _fmt_cell(row.k),
-                    _fmt_cell(row.speedup),
-                    _fmt_cell(row.efficiency),
-                    _fmt_cell(row.alpha_eff),
-                    _fmt_cell(row.serial_fraction),
-                    row.regime,
-                )
-            )
-    widths = [
-        max(len(_TABLE_COLUMNS[i]), *(len(r[i]) for r in body)) if body else len(_TABLE_COLUMNS[i])
-        for i in range(len(_TABLE_COLUMNS))
-    ]
+        for values in map(_row_values, report.rows):
+            cells = [report.label]
+            for value in values:
+                cells.append(_fmt_cell(value))
+            body.append(cells)
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+
     def render(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
 
-    lines = [render(_TABLE_COLUMNS)]
+    lines = [render(header)]
     lines.extend(render(r) for r in body)
     if include_fit:
         for report in reports:
@@ -553,46 +550,6 @@ def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[st
                     f"  residual={report.fitted.residual:.6g}"
                 )
     return lines
-
-
-def _csv_lines(reports: Sequence[ScalingReport]) -> str:
-    return _csv_text(
-        ("label", "k", "value", "kind", "efficiency", "alpha_eff", "serial_fraction", "regime"),
-        (
-            [
-                report.label,
-                row.k,
-                repr(row.speedup),
-                ValueKind.SPEEDUP.value,
-                repr(row.efficiency),
-                "" if row.alpha_eff is None else repr(row.alpha_eff),
-                "" if row.serial_fraction is None else repr(row.serial_fraction),
-                row.regime,
-            ]
-            for report in reports
-            for row in report.rows
-        ),
-    )
-
-
-def _report_dict(report: ScalingReport) -> dict:
-    return {
-        "label": report.label,
-        "rows": [
-            {
-                "k": row.k,
-                "speedup": row.speedup,
-                "efficiency": row.efficiency,
-                "alpha_eff": row.alpha_eff,
-                "serial_fraction": row.serial_fraction,
-                "regime": row.regime,
-            }
-            for row in report.rows
-        ],
-        "fitted": None
-        if report.fitted is None
-        else {"alpha": report.fitted.model.alpha, "residual": report.fitted.residual},
-    }
 
 
 def emit_reports(reports, format: str = "table", include_fit: bool = False) -> str:
@@ -612,9 +569,27 @@ def emit_reports(reports, format: str = "table", include_fit: bool = False) -> s
     if fmt == "table":
         return "\n".join(_table_lines(reports, include_fit)) + "\n"
     if fmt == "csv":
-        return _csv_lines(reports)
+        # A measurement CSV of speedups: "speedup" becomes "value", then "kind".
+        kind = ValueKind.SPEEDUP.value
+        return _csv_text(
+            _REQUIRED_COLUMNS + _ROW_FIELDS[2:],
+            (
+                (report.label, k, speedup, kind, *derived)
+                for report in reports
+                for k, speedup, *derived in map(_row_values, report.rows)
+            ),
+        )
     if fmt == "json":
-        return _json_text({"reports": [_report_dict(r) for r in reports]})
+        return _json_text({"reports": [
+            {
+                "label": report.label,
+                "rows": [dict(zip(_ROW_FIELDS, _row_values(row))) for row in report.rows],
+                "fitted": None
+                if report.fitted is None
+                else {"alpha": report.fitted.model.alpha, "residual": report.fitted.residual},
+            }
+            for report in reports
+        ]})
     raise ValueError(f"unknown report format {format!r} (expected table, csv or json)")
 
 
@@ -652,12 +627,12 @@ def emit_plot_data(reports, y_axis: str = "efficiency", xscale: str | None = Non
         if scale not in ("log", "linear"):
             raise ValueError(f"{name} must be log or linear, got {scale!r}")
 
-    def points(report):
-        if axis == "efficiency":
-            return [(row.k, row.efficiency) for row in report.rows]
-        return [(row.k, row.serial_fraction) for row in report.rows if row.serial_fraction is not None]
-
-    return _plot_text((report.label, xscale, yscale, points(report)) for report in reports)
+    # The k=1 row has no serial fraction, so that axis skips it.
+    point = operator.attrgetter("k", axis.replace("-", "_"))
+    return _plot_text(
+        (report.label, xscale, yscale, [p for p in map(point, report.rows) if p[1] is not None])
+        for report in reports
+    )
 
 
 def emit_published_serial_fractions(fixture: Fixture) -> str:

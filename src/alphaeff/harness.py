@@ -34,7 +34,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .dataio import MeasurementSeries, ValueKind
+from .dataio import MeasurementSeries, ValueKind, _as_text
 
 __all__ = [
     "AMDAHL_OVERHEAD_RANGE",
@@ -269,11 +269,9 @@ def workload_from_spec(source) -> SyntheticWorkload:
     fraction, "k_list"?: [counts], "reps"?: count}.  ``total_ms`` is
     converted to spin units by calibrating on this host.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, (str, bytes)):
+    if hasattr(source, "read") or isinstance(source, (str, bytes)):
         try:
-            doc = json.loads(source)
+            doc = json.loads(_as_text(source))
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid workload JSON: {exc}")
     else:

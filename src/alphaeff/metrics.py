@@ -225,7 +225,8 @@ class FitResult:
 
     Residuals are taken in inverse-speedup space, where the model is
     linear; ``residual`` is 0 (to rounding) when the data follow
-    Amdahl's law exactly.
+    Amdahl's law exactly, and ``inf`` when the squared residuals exceed
+    the float range (speedups below about 1e-154).
     """
 
     model: AmdahlModel
@@ -261,12 +262,18 @@ def fit_alpha(points) -> FitResult:
     if not usable:
         raise ValueError("no points with k >= 2 to fit")
 
-    sxy = math.fsum((k - 1.0) / k * (1.0 - 1.0 / s) for k, s in usable)
+    try:
+        sxy = math.fsum((k - 1.0) / k * (1.0 - 1.0 / s) for k, s in usable)
+    except OverflowError:  # each term is at most 1, so only a negative sum overflows
+        sxy = -math.inf
     sxx = math.fsum(((k - 1.0) / k) ** 2 for k, s in usable)
     alpha = min(1.0, max(0.0, sxy / sxx))
-    residual = math.fsum(
-        (1.0 / s - ((1.0 - alpha) + alpha / k)) ** 2 for k, s in usable
-    )
+    try:
+        residual = math.fsum(
+            (1.0 / s - ((1.0 - alpha) + alpha / k)) ** 2 for k, s in usable
+        )
+    except OverflowError:  # a square, or the sum of them, past the float range
+        residual = math.inf
     return FitResult(AmdahlModel(alpha), residual)
 
 

@@ -1,5 +1,12 @@
+import os
 import re
 from collections import defaultdict
+from pathlib import Path
+
+# The subprocess tests (``python -m alphaeff``, the demos) import the
+# same source tree as the in-process ones.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 _CRITERIA = {
     1: "worked-example exactness",

@@ -135,6 +135,21 @@ class TestAnalyze:
         assert rc == 0
         assert len(out.strip().splitlines()) == 1   # header only
 
+    def test_lone_numeric_json_label_is_data_error(self, capsys, monkeypatch):
+        doc = {"series": [{"label": 7, "kind": "speedup", "points": [{"k": 2, "value": 1.5}]}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "analyze", "-")
+        assert (rc, out) == (2, "")
+        assert err == "error: series[0]: label must be a string, got 7\n"
+
+    def test_fit_residual_past_float_range_reads_inf(self, capsys, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text("label,k,value,kind\na,1,1.0,speedup\n"
+                        "a,2,1e-200,speedup\na,3,1e-200,speedup\n")
+        rc, out, err = run_cli(capsys, "analyze", str(path), "--fit")
+        assert (rc, err) == (0, "")
+        assert "fitted: a  alpha=0  residual=inf" in out.splitlines()
+
     def test_published_only_fixture_points_at_export(self, capsys):
         rc, _, err = run_cli(capsys, "analyze", "fixtures://soc_rosenbrock")
         assert rc == 2
@@ -330,6 +345,14 @@ class TestBench:
         assert rc == 2
         assert "hard cap" in err
 
+    def test_spec_with_utf8_bom_on_stdin(self, capsys, monkeypatch):
+        # A spec piped in with a BOM reads as it does from a file.
+        spec = '\ufeff{"alpha": 0.5, "total_ms": 20, "k_list": [1], "reps": 1}'
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        rc, out, err = run_cli(capsys, "bench", "--spec", "-")
+        assert (rc, err) == (0, "")
+        assert "synthetic-a0.5-o0" in out
+
     def test_bad_spec_keys(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"alpha": 0.5, "total_ms": 20, "turbo": true}')
@@ -447,10 +470,10 @@ class TestPlumbing:
         (["simulate", "-", "--k", "2"],
          {"segments": [{"kind": [1], "duration": 1}]},
          "error: segments[0]: unknown kind [1] (expected S, P or C)"),
-        # A lone [1] label is stored as the text "[1]"; a second one repeats it.
+        # A non-string label is rejected at its first appearance.
         (["analyze", "-"],
          {"series": [{"label": [1], "kind": "speedup", "points": [{"k": 1, "value": 1}]}] * 2},
-         "error: series[1]: duplicate label '[1]'"),
+         "error: series[0]: label must be a string, got [1]"),
         (["bench", "--spec", "-"],
          {"alpha": [1], "total_ms": 1},
          "error: alpha_target must lie in [0, 1], got [1]"),

@@ -6,6 +6,7 @@ numbers: e.g. k=8 at 87% efficiency gives speedup 6.96, effective
 parallelization (8/7)(1 - 1/6.96) = 596/609, serial fraction 13/609.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -227,10 +228,17 @@ class TestParseJson:
         ]}
         with pytest.raises(DataFormatError, match="duplicate label"):
             parse_measurements(json.dumps(doc), format="json")
-        # Labels are stored as text, so 1 and "1" name the same series.
+        # A non-string label is rejected before it could repeat another.
         doc["series"][0]["label"], doc["series"][1]["label"] = 1, "1"
-        with pytest.raises(DataFormatError, match="series\\[1\\]: duplicate label '1'"):
+        with pytest.raises(DataFormatError, match="^series\\[0\\]: label must be a string, got 1$"):
             parse_measurements(json.dumps(doc), format="json")
+
+    @pytest.mark.parametrize("label, shown", [(None, "None"), (True, "True"), (7, "7"), ([1], "[1]")])
+    def test_non_string_label_rejected(self, label, shown):
+        doc = {"series": [{"label": label, "kind": "speedup", "points": [{"k": 2, "value": 1.5}]}]}
+        with pytest.raises(DataFormatError) as info:
+            parse_measurements(json.dumps(doc), format="json")
+        assert str(info.value) == f"series[0]: label must be a string, got {shown}"
 
 
 # -------------------------------------------------------- MeasurementSeries
@@ -633,6 +641,62 @@ class TestEmitPlotData:
             emit_plot_data(reports, xscale="weird")
         with pytest.raises(ValueError, match="at least one report"):
             emit_plot_data([])
+
+
+# ------------------------------------------------------ pinned report bytes
+
+def _edge_series():
+    speedup = ValueKind.SPEEDUP
+    return {
+        "slowdown": [MeasurementSeries("slow", ((1, 1.0), (2, 0.8), (4, 0.5)), speedup)],
+        "superlinear": [MeasurementSeries("super", ((1, 1.0), (2, 2.5), (4, 5.0)), speedup)],
+        "k1-only": [MeasurementSeries("single", ((1, 3.0),), ValueKind.WALL_TIME)],
+        "comma-quote-label": [
+            MeasurementSeries('a,"b"', ((1, 12.0), (2, 6.5), (3, 4.75)), ValueKind.WALL_TIME)
+        ],
+        "empty": [],
+    }
+
+
+def _report_bytes(series_list):
+    """Every report format, fit off and on, then both plot axes."""
+    reports = [analyze(s) for s in series_list]
+    parts = [
+        emit_reports(reports, fmt, include_fit=fit)
+        for fmt in ("table", "csv", "json")
+        for fit in (False, True)
+    ]
+    if reports:
+        parts += [emit_plot_data(reports, axis) for axis in ("efficiency", "serial-fraction")]
+    return "\x00".join(parts).encode("utf-8")
+
+
+# sha256 of _report_bytes per source; a change that alters report bytes
+# on purpose recomputes them.
+_PINNED_REPORT_DIGESTS = {
+    "algorithms_scaling": "045d9e18a3bbf9793eaba649fd12a68c5c12c68dbf7fc626809e23e1754f9be4",
+    "audio_radar": "5465ccee17b6842128208ab57bfd192652f35e602f69f3f58b4b9241ad1fdaa3",
+    "linpack_architectures": "b6330c7ce4200e969235f79bb678d4381bcfce267fbc91e2e1a66dc7946a6316",
+    "comma-quote-label": "26e520a1f7c633a66c87aaba67e25f837539b44c257888be664b72f01de11a7a",
+    "empty": "2ec4f3ce0d9c305b89c15e0717bfde0e7375085bb9776a4492a2a571b0da726e",
+    "k1-only": "5ed0e1cb16f4cfef10fd4cc982655cdfdc59abacae2c81613e6ee5f72a4f0d76",
+    "slowdown": "ec4f958ebe74eb707e6c214ba9c24f3a0f3334773ed966478eacb54d6bd4a30e",
+    "superlinear": "d34a6d4b9cd0a9af4afdb1923145a56b04729aad3a2b1b97488a4cb7e2f5dbfe",
+}
+
+
+class TestPinnedReportBytes:
+    @pytest.mark.parametrize("source", sorted(_PINNED_REPORT_DIGESTS))
+    def test_report_bytes_unchanged(self, source):
+        if source in FIXTURE_IDS:
+            series_list = load_fixture(source).series
+        else:
+            series_list = _edge_series()[source]
+        assert hashlib.sha256(_report_bytes(series_list)).hexdigest() == _PINNED_REPORT_DIGESTS[source]
+
+    def test_every_fixture_series_is_pinned(self):
+        with_series = {f for f in FIXTURE_IDS if load_fixture(f).series}
+        assert with_series <= set(_PINNED_REPORT_DIGESTS)
 
 
 # --------------------------------------- emit_published_serial_fractions

@@ -119,7 +119,8 @@ class TestCalibrate:
     def test_achieves_target_within_twenty_percent(self):
         target = 0.06
         units = calibrate(target)
-        best = min(harness._timed_spin(units) for _ in range(5))
+        # The fastest of three, the statistic calibrate() targets.
+        best = min(harness._timed_spin(units) for _ in range(3))
         assert 0.8 * target <= best <= 1.2 * target
 
     def test_spin_scales_linearly(self):
@@ -327,6 +328,14 @@ class TestWorkloadFromSpec:
             workload_from_spec({"total_ms": 20})
         with pytest.raises(ValueError, match="missing key 'total_ms'"):
             workload_from_spec({"alpha": 0.5})
+
+    def test_utf8_bom_skipped_and_utf16_rejected(self):
+        spec = '\ufeff{"alpha": 0.5, "total_ms": 20}'
+        assert workload_from_spec(spec).alpha_target == 0.5
+        assert workload_from_spec(spec.encode("utf-8")).alpha_target == 0.5
+        # Decoded as UTF-8, like every measurement and scenario input.
+        with pytest.raises(UnicodeDecodeError):
+            workload_from_spec(spec.encode("utf-16"))
 
     def test_bad_json_rejected(self):
         with pytest.raises(ValueError, match="invalid workload JSON"):

@@ -330,6 +330,27 @@ class TestFitAlpha:
         with pytest.raises(ValueError):
             fit_alpha(_series([]))
 
+    @pytest.mark.parametrize("points", [
+        [(2, 1e-160)],
+        [(2, 1.0), (3, 1e-200), (4, 1e-200)],
+        [(2, 1e-154), (3, 1e-154)],        # finite squares, sum past the float range
+        [(100, 1e-308), (200, 1e-308)],    # the slope's sum too
+    ])
+    def test_residual_past_float_range_reads_inf(self, points):
+        # Flagged, not clamped, as alpha_eff reads -inf at s = 5e-324.
+        result = fit_alpha(points)
+        assert result.model.alpha == 0.0
+        assert result.residual == math.inf
+
+    def test_residual_squares_by_power(self):
+        # r * r and r ** 2 can differ in the last place (they do here under
+        # glibc), and reports write the residual with repr.
+        pts = [(2, 1.2519), (4, 1.7229)]
+        result = fit_alpha(pts)
+        alpha = result.model.alpha
+        assert result.residual == math.fsum(
+            (1.0 / s - ((1.0 - alpha) + alpha / k)) ** 2 for k, s in pts)
+
     def test_accepts_plain_pairs(self):
         result = fit_alpha([(2, amdahl_speedup(0.5, 2)), (8, amdahl_speedup(0.5, 8))])
         assert result.model.alpha == pytest.approx(0.5, abs=1e-12)
