@@ -37,18 +37,10 @@ def _write_output(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _sniff_format(path: str, data: bytes | str = b"") -> str:
-    if path.endswith(".json"):
+def _sniff_format(path: str, text: str) -> str:
+    if path.endswith(".json") or (path == "-" and text.lstrip().startswith("{")):
         return "json"
-    if path == "-":
-        text = data.decode("utf-8", "replace") if isinstance(data, bytes) else data
-        if text.lstrip().startswith("{"):
-            return "json"
     return "csv"
-
-
-def _regime_suffix(regime: str) -> str:
-    return "" if regime == metrics.NORMAL else f" ({regime})"
 
 
 def cmd_analyze(args) -> str:
@@ -61,9 +53,9 @@ def cmd_analyze(args) -> str:
             )
         series_list = list(fixture.series)
     else:
-        raw = _read_input(args.input)
-        fmt = args.input_format or _sniff_format(args.input, raw)
-        series_list = dataio.parse_measurements(raw, fmt)
+        text = dataio._as_text(_read_input(args.input))
+        fmt = args.input_format or _sniff_format(args.input, text)
+        series_list = dataio.parse_measurements(text, fmt)
     reports = [dataio.analyze(s) for s in series_list]
     out = dataio.emit_reports(reports, args.format, include_fit=args.fit)
     if args.plot and reports:
@@ -89,27 +81,18 @@ def _load_scenario(path: str) -> timeline.Timeline:
     return dataio.parse_scenario(_read_input(path))
 
 
-def _render_schedule(result: timeline.ScheduleResult, policy: str) -> str:
-    regime = metrics.classify_regime(result.speedup, result.k)
-    if result.alpha_eff is not None:
-        alpha_text = f"{result.alpha_eff:.6g}"
-        serial_text = f"{1.0 - result.alpha_eff:.6g}"
-    else:
-        why = "k=1" if result.k == 1 else "no baseline work"
-        alpha_text = serial_text = f"n/a ({why})"
-    lines = [
-        f"k: {result.k}",
-        f"policy: {policy}",
-        f"t_serial: {result.t_serial:.6g}",
-        f"t_total: {result.t_total:.6g}",
-        f"speedup: {result.speedup:.6g}{_regime_suffix(regime)}",
-        f"alpha_eff: {alpha_text}",
-        f"serial_fraction: {serial_text}",
-        "",
-    ]
-    max_load = max(result.per_processor_busy)
+def _render_schedule(doc: dict) -> str:
+    why = "k=1" if doc["k"] == 1 else "no baseline work"
+    cells = {key: f"n/a ({why})" if doc[key] is None else f"{doc[key]:.6g}"
+             for key in ("t_serial", "t_total", "speedup", "alpha_eff", "serial_fraction")}
+    if doc["regime"] != metrics.NORMAL:
+        cells["speedup"] += f" ({doc['regime']})"
+    lines = [f"k: {doc['k']}", f"policy: {doc['policy']}"]
+    lines += [f"{key}: {text}" for key, text in cells.items()]
+    lines.append("")
+    max_load = max(doc["per_processor_busy"])
     width = 24
-    for w, (busy, wait) in enumerate(zip(result.per_processor_busy, result.per_processor_wait)):
+    for w, (busy, wait) in enumerate(zip(doc["per_processor_busy"], doc["per_processor_wait"])):
         share = busy / max_load if max_load > 0 else 0.0
         bar = "#" * round(share * width)
         lines.append(
@@ -120,24 +103,14 @@ def _render_schedule(result: timeline.ScheduleResult, policy: str) -> str:
 
 def cmd_simulate(args) -> str:
     tl = _load_scenario(args.scenario)
-    policy = _parse_policy(args.policy)
-    result = timeline.simulate(tl, args.k, policy)
-    if args.format == "json":
-        doc = {
-            "k": result.k,
-            "policy": args.policy,
-            "t_serial": result.t_serial,
-            "t_total": result.t_total,
-            "speedup": result.speedup,
-            "regime": metrics.classify_regime(result.speedup, result.k),
-            "alpha_eff": result.alpha_eff,
-            "serial_fraction": None if result.alpha_eff is None else 1.0 - result.alpha_eff,
-            "per_processor_busy": result.per_processor_busy,
-            "per_processor_wait": result.per_processor_wait,
-            "assignment": result.assignment,
-        }
-        return dataio._json_text(doc)
-    return _render_schedule(result, args.policy)
+    result = timeline.simulate(tl, args.k, _parse_policy(args.policy))
+    doc = {
+        **vars(result),
+        "policy": args.policy,
+        "regime": metrics.classify_regime(result.speedup, result.k),
+        "serial_fraction": None if result.alpha_eff is None else 1.0 - result.alpha_eff,
+    }
+    return dataio._json_text(doc) if args.format == "json" else _render_schedule(doc)
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -159,14 +132,7 @@ def cmd_surface(args) -> str:
         args.chunk,
     )
     if args.format == "json":
-        doc = {
-            "k": grid.k,
-            "chunk_time": grid.chunk_time,
-            "seq_values": grid.seq_values,
-            "overhead_values": grid.overhead_values,
-            "alpha": grid.alpha,
-        }
-        return dataio._json_text(doc)
+        return dataio._json_text(vars(grid))
     blocks = (
         (f"seq={seq:.6g}", "linear", "linear", zip(grid.overhead_values, row))
         for seq, row in zip(grid.seq_values, grid.alpha)
@@ -183,17 +149,13 @@ def _parse_int_list(text: str) -> list[int]:
 
 def cmd_bench(args) -> str:
     if args.spec is not None:
-        workload = harness.workload_from_spec(_read_input(args.spec))
+        spec = _read_input(args.spec)
+    elif args.alpha is None:
+        raise ValueError("bench needs --alpha (or --spec FILE)")
     else:
-        if args.alpha is None:
-            raise ValueError("bench needs --alpha (or --spec FILE)")
-        workload = harness.SyntheticWorkload(
-            alpha_target=args.alpha,
-            total_work=harness.calibrate(args.total_ms / 1000.0),
-            overhead_fraction=args.overhead,
-            k_list=tuple(_parse_int_list(args.k)),
-            repetitions=args.reps,
-        )
+        spec = {"alpha": args.alpha, "total_ms": args.total_ms, "overhead": args.overhead,
+                "k_list": _parse_int_list(args.k), "reps": args.reps}
+    workload = harness.workload_from_spec(spec)
     series = harness.run_synthetic(workload, args.max_oversubscription)
     return dataio.emit_measurements([series], args.format)
 
@@ -229,17 +191,11 @@ def cmd_fixtures(args) -> str:
     fixture = dataio.load_fixture(args.id)
     if args.action == "show":
         if args.format == "json":
-            doc = {
-                "id": fixture.id,
-                "description": fixture.description,
-                "verifiable": fixture.verifiable,
-                "series": [
-                    {"label": s.label, "kind": s.value_kind.value, "points": s.points}
-                    for s in fixture.series
-                ],
-                "published_serial_fraction": fixture.published_serial_fraction,
-            }
-            return dataio._json_text(doc)
+            series = [
+                {"label": s.label, "kind": s.value_kind.value, "points": s.points}
+                for s in fixture.series
+            ]
+            return dataio._json_text({**vars(fixture), "series": series})
         return _fixture_summary(fixture)
     # export
     if fixture.series:

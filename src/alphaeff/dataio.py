@@ -72,6 +72,11 @@ class DataFormatError(ValueError):
     """Malformed measurement, scenario, or fixture input."""
 
 
+def _is_count(value) -> bool:
+    """True for an int >= 1 that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class MeasurementSeries:
     """A labeled set of (k, value) points of one kind.
@@ -90,12 +95,12 @@ class MeasurementSeries:
             raise ValueError("series label must be a non-empty string")
         if not isinstance(self.value_kind, ValueKind):
             raise ValueError(f"value_kind must be a ValueKind, got {self.value_kind!r}")
-        if not isinstance(self.baseline_k, int) or self.baseline_k < 1:
+        if not _is_count(self.baseline_k):
             raise ValueError(f"baseline_k must be an integer >= 1, got {self.baseline_k!r}")
         normalized = []
         for point in self.points:
             k, value = point
-            if not isinstance(k, int) or k < 1:
+            if not _is_count(k):
                 raise ValueError(f"{self.label!r}: k must be an integer >= 1, got {k!r}")
             value = float(value)
             if not (math.isfinite(value) and value > 0.0):
@@ -198,8 +203,14 @@ def _as_text(source) -> str:
 
 
 def _json_text(doc) -> str:
-    """The one JSON layout every document this package writes uses."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The one JSON layout every document this package writes uses: strict RFC 8259."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise DataFormatError(
+            "JSON cannot carry the non-finite number (inf or nan) in this output; "
+            "--format table or csv shows it"
+        ) from None
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

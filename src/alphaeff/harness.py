@@ -34,7 +34,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .dataio import MeasurementSeries, ValueKind, _as_text
+from .dataio import MeasurementSeries, ValueKind, _as_text, _is_count
 
 __all__ = [
     "AMDAHL_OVERHEAD_RANGE",
@@ -116,11 +116,10 @@ def calibrate(target_duration: float) -> int:
 
 
 def _float_or_nan(value) -> float:
-    """``float(value)``, or nan (which every range check rejects) for a non-number."""
-    try:
+    """``float(value)`` for an int or float (not a bool), else nan: range checks reject it."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    except TypeError:
-        return math.nan
+    return math.nan
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ class SyntheticWorkload:
         if not (math.isfinite(alpha) and 0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha_target must lie in [0, 1], got {self.alpha_target!r}")
         object.__setattr__(self, "alpha_target", alpha)
-        if not isinstance(self.total_work, int) or self.total_work < 1:
+        if not _is_count(self.total_work):
             raise ValueError(f"total_work must be a positive integer, got {self.total_work!r}")
         overhead = _float_or_nan(self.overhead_fraction)
         if not (math.isfinite(overhead) and overhead >= 0.0):
@@ -156,12 +155,12 @@ class SyntheticWorkload:
         if not ks:
             raise ValueError("k_list must not be empty")
         for k in ks:
-            if not isinstance(k, int) or k < 1:
+            if not _is_count(k):
                 raise ValueError(f"k values must be integers >= 1, got {k!r}")
         if 1 not in ks:
             ks.append(1)
         object.__setattr__(self, "k_list", tuple(sorted(set(ks))))
-        if not isinstance(self.repetitions, int) or self.repetitions < 1:
+        if not _is_count(self.repetitions):
             raise ValueError(f"repetitions must be an integer >= 1, got {self.repetitions!r}")
 
     @property
@@ -262,6 +261,16 @@ def run_synthetic(
     )
 
 
+# Workload spec keys and the SyntheticWorkload fields they set; absent
+# keys take the field defaults.
+_SPEC_FIELDS = {
+    "alpha": "alpha_target",
+    "overhead": "overhead_fraction",
+    "k_list": "k_list",
+    "reps": "repetitions",
+}
+
+
 def workload_from_spec(source) -> SyntheticWorkload:
     """Build a workload from its JSON description.
 
@@ -278,23 +287,16 @@ def workload_from_spec(source) -> SyntheticWorkload:
         doc = source
     if not isinstance(doc, dict):
         raise ValueError("workload spec must be a JSON object")
-    unknown = set(doc) - {"alpha", "total_ms", "overhead", "k_list", "reps"}
+    unknown = set(doc) - {"total_ms", *_SPEC_FIELDS}
     if unknown:
         raise ValueError(f"unknown workload key(s): {', '.join(sorted(unknown))}")
-    try:
-        alpha = doc["alpha"]
-        total_ms = doc["total_ms"]
-    except KeyError as exc:
-        raise ValueError(f"workload spec missing key {exc.args[0]!r}")
+    for key in ("alpha", "total_ms"):
+        if key not in doc:
+            raise ValueError(f"workload spec missing key {key!r}")
+    total_ms = doc["total_ms"]
     if not isinstance(total_ms, (int, float)) or isinstance(total_ms, bool):
         raise ValueError("total_ms must be a number")
-    k_list = doc.get("k_list", [1, 2, 4])
-    if not isinstance(k_list, list):
+    if "k_list" in doc and not isinstance(doc["k_list"], list):
         raise ValueError("k_list must be a list of integers")
-    return SyntheticWorkload(
-        alpha_target=alpha,
-        total_work=calibrate(total_ms / 1000.0),
-        overhead_fraction=doc.get("overhead", 0.0),
-        k_list=tuple(k_list),
-        repetitions=doc.get("reps", 3),
-    )
+    fields = {field: doc[key] for key, field in _SPEC_FIELDS.items() if key in doc}
+    return SyntheticWorkload(total_work=calibrate(total_ms / 1000.0), **fields)

@@ -88,7 +88,13 @@ class Timeline:
         segs = tuple(self.segments)
         if not segs:
             raise ValueError("timeline must contain at least one segment")
-        if not any(s.duration > 0.0 for s in segs):
+        # Durations are finite and >= 0: the sum is 0 only without positive
+        # work, and raises only past the float range.
+        try:
+            total = math.fsum(s.duration for s in segs)
+        except OverflowError:
+            raise ValueError("timeline durations sum past the float range") from None
+        if total == 0.0:
             raise ValueError("timeline must contain at least one positive duration")
         object.__setattr__(self, "segments", segs)
 

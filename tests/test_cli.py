@@ -6,6 +6,7 @@ point for real.  Exit code contract: 0 success, 1 I/O or runtime
 failure, 2 bad input or usage.
 """
 
+import hashlib
 import io
 import json
 import subprocess
@@ -13,7 +14,7 @@ import sys
 
 import pytest
 
-from alphaeff import dataio, metrics
+from alphaeff import dataio, harness, metrics
 from alphaeff.cli import main
 
 CSV_SMOKE = """\
@@ -97,6 +98,14 @@ class TestAnalyze:
         assert rc == 0
         assert "s" in out and "1.8" in out
 
+    def test_stdin_json_with_utf8_bom_sniffed(self, capsys, monkeypatch):
+        doc = {"series": [{"label": "s", "kind": "speedup",
+                           "points": [{"k": 2, "value": 1.8}]}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "analyze", "-")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1].split()[:3] == ["s", "2", "1.8"]
+
     def test_json_extension_sniffed(self, capsys, tmp_path):
         series = dataio.parse_measurements(CSV_SMOKE)
         path = tmp_path / "runs.json"
@@ -149,6 +158,16 @@ class TestAnalyze:
         rc, out, err = run_cli(capsys, "analyze", str(path), "--fit")
         assert (rc, err) == (0, "")
         assert "fitted: a  alpha=0  residual=inf" in out.splitlines()
+
+    def test_non_finite_json_is_data_error(self, capsys, tmp_path):
+        # RFC 8259 JSON has no inf, so that format refuses the report.
+        path = tmp_path / "tiny.csv"
+        path.write_text("label,k,value,kind\na,1,1.0,speedup\n"
+                        "a,2,1e-200,speedup\na,3,1e-200,speedup\n")
+        rc, out, err = run_cli(capsys, "analyze", str(path), "--format", "json")
+        assert (rc, out) == (2, "")
+        assert err == ("error: JSON cannot carry the non-finite number (inf or nan) "
+                       "in this output; --format table or csv shows it\n")
 
     def test_published_only_fixture_points_at_export(self, capsys):
         rc, _, err = run_cli(capsys, "analyze", "fixtures://soc_rosenbrock")
@@ -219,6 +238,14 @@ class TestSimulate:
         rc, out2, _ = run_cli(capsys, "simulate", "-", "--k", "2")
         assert rc == 0
         assert out2 == out
+
+    def test_durations_past_float_range_are_data_error(self, capsys, monkeypatch):
+        doc = {"segments": [{"kind": "S", "duration": 1e308}, {"kind": "S", "duration": 1e308},
+                            {"kind": "P", "duration": 1}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "simulate", "-", "--k", "2")
+        assert (rc, out) == (2, "")
+        assert err == "error: timeline durations sum past the float range\n"
 
     def test_bad_policy(self, capsys):
         rc, _, err = run_cli(capsys, "simulate", "fixtures://classic",
@@ -353,6 +380,36 @@ class TestBench:
         assert (rc, err) == (0, "")
         assert "synthetic-a0.5-o0" in out
 
+    def test_flags_and_spec_build_the_same_workload(self, capsys, monkeypatch, tmp_path):
+        built = []
+
+        def run_synthetic(workload, max_oversubscription):
+            built.append(workload)
+            return dataio.MeasurementSeries(workload.label, ((1, 1.0),),
+                                            dataio.ValueKind.WALL_TIME)
+
+        # One spin unit per microsecond, so total_ms shows in total_work.
+        monkeypatch.setattr(harness, "calibrate", lambda seconds: round(seconds * 1e6))
+        monkeypatch.setattr(harness, "run_synthetic", run_synthetic)
+        path = tmp_path / "spec.json"
+        path.write_text('{"alpha": 0.25, "total_ms": 40, "overhead": 0.1,'
+                        ' "k_list": [4, 2], "reps": 2}')
+        for argv in (["--alpha", "0.25", "--total-ms", "40", "--overhead", "0.1",
+                      "--k", "4,2", "--reps", "2"], ["--spec", str(path)],
+                     ["--alpha", "0.5"], ["--spec", "-"]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO('{"alpha": 0.5, "total_ms": 250}'))
+            assert run_cli(capsys, "bench", *argv)[0] == 0
+        assert built[0] == built[1] == harness.SyntheticWorkload(0.25, 40_000, 0.1, (2, 4), 2)
+        assert built[2] == built[3] == harness.SyntheticWorkload(0.5, 250_000)
+
+    def test_bool_k_in_spec_is_data_error(self, capsys, monkeypatch):
+        # A k of true used to reach the CSV as "True", which analyze rejects.
+        spec = '{"alpha": 1, "total_ms": 1, "k_list": [true, 2]}'
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        rc, out, err = run_cli(capsys, "bench", "--spec", "-")
+        assert (rc, out) == (2, "")
+        assert err == "error: k values must be integers >= 1, got True\n"
+
     def test_bad_spec_keys(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"alpha": 0.5, "total_ms": 20, "turbo": true}')
@@ -436,6 +493,107 @@ class TestFixtures:
         with pytest.raises(SystemExit) as exc_info:
             main(["fixtures", "frobnicate"])
         assert exc_info.value.code == 2
+
+
+# ------------------------------------------------------ pinned output bytes
+
+_ZERO_BASELINE = '{"segments": [{"kind": "C", "duration": 1.0}, {"kind": "P", "duration": 0.0}]}'
+
+
+def _pinned_invocations():
+    """name -> (argv, stdin) for the simulate, surface and fixtures documents."""
+    cases = {}
+    for scenario in dataio.SCENARIO_IDS:
+        for policy in ("round-robin", "lpt", "2,0,1"):
+            for fmt in ("table", "json"):
+                cases[f"simulate-{scenario}-{policy}-{fmt}"] = (
+                    ["simulate", f"fixtures://{scenario}", "--k", "3",
+                     "--policy", policy, "--format", fmt], None)
+    for fmt in ("table", "json"):
+        cases[f"simulate-k1-{fmt}"] = (
+            ["simulate", "fixtures://realistic", "--k", "1", "--format", fmt], None)
+        cases[f"simulate-zero-baseline-{fmt}"] = (
+            ["simulate", "-", "--k", "2", "--format", fmt], _ZERO_BASELINE)
+    for name, extra in (("default", []), ("k4-steps21", ["--k", "4", "--steps", "21"]),
+                        ("subnormal", ["--seq-range", "0:1e-323", "--steps", "6"]),
+                        ("float-max", ["--overhead-range", "0:1.7e308", "--steps", "3"])):
+        cases[f"surface-{name}-json"] = (["surface", "--format", "json", *extra], None)
+    for fixture_id in dataio.FIXTURE_IDS:
+        cases[f"fixtures-show-{fixture_id}-json"] = (
+            ["fixtures", "show", fixture_id, "--format", "json"], None)
+    return cases
+
+
+_PINNED_INVOCATIONS = _pinned_invocations()
+
+# sha256 of stdout, recorded before the CLI built these documents from
+# the library records; any byte change in them shows up here.
+_PINNED_CLI_DIGESTS = {
+    "fixtures-show-algorithms_scaling-json":
+        "e942d49ea0312fb71204a421c09920b468e7be66b8e9c2aab946c78b593050eb",
+    "fixtures-show-audio_radar-json":
+        "29f58ab87395036db36d83671bf69e10b3fdb584547606a88ab6d0396e953eca",
+    "fixtures-show-linpack_architectures-json":
+        "9ac0e5079d1cc84a059bc7d8e0de1a5b3687a52403ef05ec25a00b689c1c2fc4",
+    "fixtures-show-soc_rastrigin-json":
+        "51affee49bffcb327db03e4a02af8eebf7d32f90ef2fd7273583ce8f67b32a87",
+    "fixtures-show-soc_rosenbrock-json":
+        "f8ed85d25870de1c52c72ba0cd7117cf21df4d60a6acf5cc43a0dba90ee88383",
+    "simulate-classic-2,0,1-json":
+        "d6cb4e3d9abbd55e0740c2575f475273ffec2c3fb5ff8cfaafd75a437ecea770",
+    "simulate-classic-2,0,1-table":
+        "bf24f319fd5a6b893875afe8f3d20d7465ad7934e53521163bb0edb435cf30b6",
+    "simulate-classic-lpt-json":
+        "d5ee1403b5fdc525329e458c6241ccb798afc508d5ecfcf4470b725328d82f79",
+    "simulate-classic-lpt-table":
+        "11cd17abbc650b3d4ea3152ff8de732010f7c2d156a6cb2f1ab1c7787e768efd",
+    "simulate-classic-round-robin-json":
+        "df828669c47714221550dbbaad0aed394d5577572cdd4783c1096ab2e0e4bea1",
+    "simulate-classic-round-robin-table":
+        "a814fc06f4dc80c5d6d8e70b4279f2f12392e88f09da7a34c39130e43ea1ef5f",
+    "simulate-k1-json":
+        "26f7a48b7fdd5c7ace4e5e0b101578d8f25333f63c411d994be1210f802da1df",
+    "simulate-k1-table":
+        "95a97df61af8c7d768df1dbbb7e8b4dba25145e03e732f1f6ca0ba90277a5d5e",
+    "simulate-realistic-2,0,1-json":
+        "d360e4133cf9f32ce4f07547939219feccea5decb78a8382213d6d6f8b810cef",
+    "simulate-realistic-2,0,1-table":
+        "e689bb5d1546e9c55113fbd99d0540be20ca0628fb2754ad6a6961b14279a2a2",
+    "simulate-realistic-lpt-json":
+        "36d9109ec39c2f23d79e0e2135100c1372fa1b2281fad5f8c94d5ba8b28c190c",
+    "simulate-realistic-lpt-table":
+        "a7db5a64d533650efef78040ce9ae38f72b3750b4280ab46947b9c31bca4d20f",
+    "simulate-realistic-round-robin-json":
+        "f9c875df780a85a4fde1027279bd7dc38f0996c55c22cbe456250b1ba360b9ee",
+    "simulate-realistic-round-robin-table":
+        "eea6dc9898b61b82a1d86f4a487d2fa4481126b26be32b933e84fa2623c46578",
+    "simulate-zero-baseline-json":
+        "637d1ad191bcbc12cb075775ceaefe474b55aee44b0a7ecc6df2529c54ab4687",
+    "simulate-zero-baseline-table":
+        "3958e5d16fec04e247cdde9ea00a2898c26a1b68a9068be475688246c4d1c9ce",
+    "surface-default-json":
+        "793d71d7b63023db83e426645454274d6bb67152509dad4eeb999e92deb81b81",
+    "surface-float-max-json":
+        "842c9923cd3983a9ab785c18a7fff4f9e1572b943c70536d0a6144f9705e0a23",
+    "surface-k4-steps21-json":
+        "dabc97e3438105f9f79a7c7c35399b12afa6a77e3b31a4895a6689b9fff6149c",
+    "surface-subnormal-json":
+        "97d515940cbedef893c94797400880b814885653994490691c66332daa68722d",
+}
+
+
+class TestPinnedCliBytes:
+    @pytest.mark.parametrize("name", sorted(_PINNED_INVOCATIONS))
+    def test_output_bytes_unchanged(self, capsys, monkeypatch, name):
+        argv, stdin = _PINNED_INVOCATIONS[name]
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _PINNED_CLI_DIGESTS[name]
+
+    def test_every_invocation_is_pinned(self):
+        assert set(_PINNED_INVOCATIONS) == set(_PINNED_CLI_DIGESTS)
 
 
 # ------------------------------------------------------------------ plumbing

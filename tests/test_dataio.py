@@ -269,6 +269,12 @@ class TestMeasurementSeries:
         with pytest.raises(ValueError, match="baseline"):
             MeasurementSeries("x", ((2, 5.0),), ValueKind.WALL_TIME)
 
+    def test_bool_is_not_a_count(self):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            MeasurementSeries("x", ((True, 1.0), (2, 1.8)), ValueKind.SPEEDUP)
+        with pytest.raises(ValueError, match="baseline_k"):
+            MeasurementSeries("x", ((1, 2.0),), ValueKind.WALL_TIME, baseline_k=True)
+
     @settings(max_examples=300, deadline=None)
     @given(ks=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=60))
     def test_duplicate_k_message_matches_reference(self, ks):

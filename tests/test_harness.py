@@ -64,6 +64,11 @@ class TestSyntheticWorkload:
         dict(alpha_target=0.5, total_work=10, k_list=(0,)),
         dict(alpha_target=0.5, total_work=10, k_list=(2.0,)),
         dict(alpha_target=0.5, total_work=10, repetitions=0),
+        dict(alpha_target="0.5", total_work=10),
+        dict(alpha_target=0.5, total_work=True),
+        dict(alpha_target=0.5, total_work=10, overhead_fraction="0.1"),
+        dict(alpha_target=0.5, total_work=10, k_list=(True, 2)),
+        dict(alpha_target=0.5, total_work=10, repetitions=True),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -348,6 +353,17 @@ class TestWorkloadFromSpec:
             workload_from_spec({"alpha": 0.5, "total_ms": "fast"})
         with pytest.raises(ValueError, match="k_list"):
             workload_from_spec({"alpha": 0.5, "total_ms": 20, "k_list": 4})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"alpha": 1, "total_ms": 1, "k_list": [True, 2]}, "k values"),
+        ({"alpha": "0.5", "total_ms": 1}, "alpha_target"),
+        ({"alpha": 0.5, "total_ms": 1, "overhead": "0.1"}, "overhead_fraction"),
+        ({"alpha": 0.5, "total_ms": 1, "reps": True}, "repetitions"),
+    ])
+    def test_bools_and_strings_rejected(self, monkeypatch, spec, message):
+        monkeypatch.setattr(harness, "calibrate", lambda seconds: 1000)
+        with pytest.raises(ValueError, match=message):
+            workload_from_spec(spec)
 
 
 # --------------------------------------------------------------- processors

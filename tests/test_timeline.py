@@ -99,6 +99,10 @@ class TestTimeline:
         with pytest.raises(ValueError):
             Timeline([sequential(0.0), control(0.0)])
 
+    def test_sum_past_float_range_rejected(self):
+        with pytest.raises(ValueError, match="float range"):
+            Timeline([sequential(1e308), sequential(1e308), parallel_chunk(1.0)])
+
     def test_accessors(self):
         assert REALISTIC.chunk_durations == (2.5, 2.0, 3.0)
         assert REALISTIC.total_sequential == 2.5
