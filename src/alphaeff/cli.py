@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import dataio, harness, metrics, timeline
 
@@ -38,7 +39,7 @@ def _write_output(text: str, output: str | None) -> None:
 
 
 def _sniff_format(path: str, text: str) -> str:
-    if path.endswith(".json") or (path == "-" and text.lstrip().startswith("{")):
+    if path.endswith(".json") or text.lstrip().startswith("{"):
         return "json"
     return "csv"
 
@@ -197,8 +198,8 @@ def cmd_fixtures(args) -> str:
             ]
             return dataio._json_text({**vars(fixture), "series": series})
         return _fixture_summary(fixture)
-    # export
-    if fixture.series:
+    # export; emit_measurements also rejects "table" for fixtures without series
+    if fixture.series or args.format == "table":
         return dataio.emit_measurements(fixture.series, args.format)
     if args.format == "json":
         return dataio._json_text(
@@ -284,7 +285,12 @@ def main(argv=None) -> int:
     if args.command == "fixtures" and args.format is None:
         args.format = "csv" if args.action == "export" else "table"
     try:
-        _write_output(args.func(args), args.output)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            text = args.func(args)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
+        _write_output(text, args.output)
         return 0
     except BrokenPipeError:
         # Downstream closed the pipe (e.g. `| head`); not our failure.

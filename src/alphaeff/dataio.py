@@ -72,11 +72,6 @@ class DataFormatError(ValueError):
     """Malformed measurement, scenario, or fixture input."""
 
 
-def _is_count(value) -> bool:
-    """True for an int >= 1 that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 @dataclass(frozen=True)
 class MeasurementSeries:
     """A labeled set of (k, value) points of one kind.
@@ -95,17 +90,16 @@ class MeasurementSeries:
             raise ValueError("series label must be a non-empty string")
         if not isinstance(self.value_kind, ValueKind):
             raise ValueError(f"value_kind must be a ValueKind, got {self.value_kind!r}")
-        if not _is_count(self.baseline_k):
+        if not metrics._is_count(self.baseline_k):
             raise ValueError(f"baseline_k must be an integer >= 1, got {self.baseline_k!r}")
         normalized = []
         for point in self.points:
             k, value = point
-            if not _is_count(k):
+            if not metrics._is_count(k):
                 raise ValueError(f"{self.label!r}: k must be an integer >= 1, got {k!r}")
-            value = float(value)
-            if not (math.isfinite(value) and value > 0.0):
+            if not (metrics._is_number(value) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{self.label!r}: values must be positive, got {value!r} at k={k}")
-            normalized.append((k, value))
+            normalized.append((k, float(value)))
         if not normalized:
             raise ValueError(f"{self.label!r}: series needs at least one point")
         normalized.sort()
@@ -302,10 +296,6 @@ def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
             raise DataFormatError(f"line {lineno}: {exc}")
         rows.append((lineno, label, k, value, kind))
 
-    if not rows:
-        warnings.warn("no measurement rows in input", stacklevel=3)
-        return []
-
     # label -> (kind, line of its first row, k -> value), in order of first appearance.
     groups: dict[str, tuple[ValueKind, int, dict[int, float]]] = {}
     for lineno, label, k, value, kind in rows:
@@ -327,19 +317,21 @@ def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
         raise DataFormatError(str(exc))
 
 
-def _parse_json_measurements(text: str) -> list[MeasurementSeries]:
+def _json_list(source, key: str, what: str) -> list:
+    """The ``key`` list of the JSON object document ``source``."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(_as_text(source))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"invalid JSON: {exc}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("series"), list):
-        raise DataFormatError('measurement JSON must be an object with a "series" list')
-    if not doc["series"]:
-        warnings.warn("no measurement rows in input", stacklevel=3)
-        return []
+    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+        raise DataFormatError(f'{what} must be an object with a "{key}" list')
+    return doc[key]
+
+
+def _parse_json_measurements(text: str) -> list[MeasurementSeries]:
     out = []
     seen = set()
-    for i, entry in enumerate(doc["series"]):
+    for i, entry in enumerate(_json_list(text, "series", "measurement JSON")):
         where = f"series[{i}]"
         if not isinstance(entry, dict):
             raise DataFormatError(f"{where}: must be an object")
@@ -361,7 +353,7 @@ def _parse_json_measurements(text: str) -> list[MeasurementSeries]:
                 raise DataFormatError(f'{where}.points[{j}]: must be an object with "k" and "value"')
             if not isinstance(p["k"], int) or isinstance(p["k"], bool):
                 raise DataFormatError(f"{where}.points[{j}]: k must be an integer")
-            if not isinstance(p["value"], (int, float)) or isinstance(p["value"], bool):
+            if not metrics._is_number(p["value"]):
                 raise DataFormatError(f"{where}.points[{j}]: value must be a number")
             points.append((p["k"], float(p["value"])))
         baseline_k = entry.get("baseline_k", 1)
@@ -390,10 +382,14 @@ def parse_measurements(source, format: str = "csv") -> list[MeasurementSeries]:
     text = _as_text(source)
     fmt = format.strip().lower()
     if fmt == "csv":
-        return _parse_csv_measurements(text)
-    if fmt == "json":
-        return _parse_json_measurements(text)
-    raise ValueError(f"unknown measurement format {format!r} (expected csv or json)")
+        series = _parse_csv_measurements(text)
+    elif fmt == "json":
+        series = _parse_json_measurements(text)
+    else:
+        raise ValueError(f"unknown measurement format {format!r} (expected csv or json)")
+    if not series:
+        warnings.warn("no measurement rows in input", stacklevel=2)
+    return series
 
 
 def emit_measurements(series, format: str = "csv") -> str:
@@ -466,11 +462,7 @@ def load_fixture(fixture_id: str) -> Fixture:
         )
     doc = json.loads(_read_bundled(f"{fixture_id}.json"))
     series = tuple(
-        MeasurementSeries(
-            entry["label"],
-            tuple((int(k), float(v)) for k, v in entry["points"]),
-            ValueKind.from_text(entry["kind"]),
-        )
+        MeasurementSeries(entry["label"], entry["points"], ValueKind.from_text(entry["kind"]))
         for entry in doc["series"]
     )
     return Fixture(
@@ -487,15 +479,8 @@ def parse_scenario(source) -> timeline.Timeline:
 
     Kinds are "S" (sequential), "P" (parallel chunk), "C" (control).
     """
-    text = _as_text(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON: {exc}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
-        raise DataFormatError('scenario must be an object with a "segments" list')
     segments = []
-    for i, entry in enumerate(doc["segments"]):
+    for i, entry in enumerate(_json_list(source, "segments", "scenario")):
         where = f"segments[{i}]"
         if not isinstance(entry, dict) or "kind" not in entry or "duration" not in entry:
             raise DataFormatError(f'{where}: must be an object with "kind" and "duration"')
@@ -504,7 +489,7 @@ def parse_scenario(source) -> timeline.Timeline:
         except ValueError:
             raise DataFormatError(f"{where}: unknown kind {entry['kind']!r} (expected S, P or C)")
         duration = entry["duration"]
-        if not isinstance(duration, (int, float)) or isinstance(duration, bool):
+        if not metrics._is_number(duration):
             raise DataFormatError(f"{where}: duration must be a number")
         try:
             segments.append(timeline.Segment(kind, float(duration)))

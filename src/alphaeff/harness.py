@@ -32,9 +32,10 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .dataio import MeasurementSeries, ValueKind, _as_text, _is_count
+from .dataio import MeasurementSeries, ValueKind, _as_text
+from .metrics import _is_count, _is_number
 
 __all__ = [
     "AMDAHL_OVERHEAD_RANGE",
@@ -115,13 +116,6 @@ def calibrate(target_duration: float) -> int:
     return max(1, round(estimate * target_duration / elapsed))
 
 
-def _float_or_nan(value) -> float:
-    """``float(value)`` for an int or float (not a bool), else nan: range checks reject it."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    return math.nan
-
-
 @dataclass(frozen=True)
 class SyntheticWorkload:
     """A synthetic run plan: how much work, how parallel, at which k.
@@ -141,16 +135,14 @@ class SyntheticWorkload:
     repetitions: int = 3
 
     def __post_init__(self):
-        alpha = _float_or_nan(self.alpha_target)
-        if not (math.isfinite(alpha) and 0.0 <= alpha <= 1.0):
+        if not (_is_number(self.alpha_target) and 0.0 <= self.alpha_target <= 1.0):
             raise ValueError(f"alpha_target must lie in [0, 1], got {self.alpha_target!r}")
-        object.__setattr__(self, "alpha_target", alpha)
+        object.__setattr__(self, "alpha_target", float(self.alpha_target))
         if not _is_count(self.total_work):
             raise ValueError(f"total_work must be a positive integer, got {self.total_work!r}")
-        overhead = _float_or_nan(self.overhead_fraction)
-        if not (math.isfinite(overhead) and overhead >= 0.0):
+        if not (_is_number(self.overhead_fraction) and 0.0 <= self.overhead_fraction < math.inf):
             raise ValueError(f"overhead_fraction must be >= 0, got {self.overhead_fraction!r}")
-        object.__setattr__(self, "overhead_fraction", overhead)
+        object.__setattr__(self, "overhead_fraction", float(self.overhead_fraction))
         ks = list(self.k_list)
         if not ks:
             raise ValueError("k_list must not be empty")
@@ -293,10 +285,11 @@ def workload_from_spec(source) -> SyntheticWorkload:
     for key in ("alpha", "total_ms"):
         if key not in doc:
             raise ValueError(f"workload spec missing key {key!r}")
-    total_ms = doc["total_ms"]
-    if not isinstance(total_ms, (int, float)) or isinstance(total_ms, bool):
+    if not _is_number(doc["total_ms"]):
         raise ValueError("total_ms must be a number")
     if "k_list" in doc and not isinstance(doc["k_list"], list):
         raise ValueError("k_list must be a list of integers")
     fields = {field: doc[key] for key, field in _SPEC_FIELDS.items() if key in doc}
-    return SyntheticWorkload(total_work=calibrate(total_ms / 1000.0), **fields)
+    # Check every other field before spending a calibration on total_ms.
+    workload = SyntheticWorkload(total_work=1, **fields)
+    return replace(workload, total_work=calibrate(doc["total_ms"] / 1000.0))

@@ -20,7 +20,7 @@ clamped, so the anomaly stays visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -47,6 +47,16 @@ __all__ = [
 NORMAL = "normal"
 SLOWDOWN = "slowdown"
 SUPERLINEAR = "superlinear"
+
+
+def _is_count(value) -> bool:
+    """True for an int >= 1 that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_number(value) -> bool:
+    """True for an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -99,12 +109,9 @@ def speedup(t_serial: float, t_parallel: float) -> float:
 def efficiency(s: float, k: float) -> float:
     """Speedup per processor, s / k."""
     s = _check_finite("s", s)
-    k = _check_finite("k", k)
     if s <= 0.0:
         raise ValueError(f"speedup must be positive, got {s}")
-    if k < 1:
-        raise ValueError(f"processor count must be >= 1, got {k}")
-    return s / k
+    return s / _check_k_at_least_one(k)
 
 
 def alpha_eff(s: float, k: float) -> EffectiveParallelization:
@@ -279,44 +286,31 @@ def fit_alpha(points) -> FitResult:
 
 @dataclass(frozen=True)
 class MetricRow:
-    """One processor count's worth of derived metrics.
+    """One processor count's worth of metrics, all derived from ``(k, speedup)``.
 
-    ``alpha_eff`` and ``serial_fraction`` exist only for k >= 2 and
-    satisfy serial_fraction == 1 - alpha_eff exactly; ``efficiency`` is
-    speedup / k exactly.  Construct via :meth:`from_speedup` to get the
-    derived fields right.
+    ``efficiency`` is speedup / k; ``alpha_eff`` and ``serial_fraction``
+    (exactly 1 - alpha_eff) exist only for k >= 2 and are None at k = 1.
     """
 
     k: int
     speedup: float
-    efficiency: float
-    alpha_eff: float | None
-    serial_fraction: float | None
+    efficiency: float = field(init=False)
+    alpha_eff: float | None = field(init=False)
+    serial_fraction: float | None = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _is_count(self.k):
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not (math.isfinite(self.speedup) and self.speedup > 0.0):
-            raise ValueError(f"speedup must be positive, got {self.speedup!r}")
-        if self.efficiency != self.speedup / self.k:
-            raise ValueError("efficiency must equal speedup / k")
-        if self.k >= 2:
-            if self.alpha_eff is None or self.serial_fraction is None:
-                raise ValueError("alpha_eff and serial_fraction required for k >= 2")
-            if self.serial_fraction != 1.0 - self.alpha_eff:
-                raise ValueError("serial_fraction must equal 1 - alpha_eff")
-        elif self.alpha_eff is not None or self.serial_fraction is not None:
-            raise ValueError("alpha_eff is undefined for k = 1")
+        if not _is_number(self.speedup):
+            raise ValueError(f"speedup must be a number, got {self.speedup!r}")
+        object.__setattr__(self, "efficiency", efficiency(self.speedup, self.k))
+        ae = alpha_eff(self.speedup, self.k) if self.k >= 2 else None
+        object.__setattr__(self, "alpha_eff", ae)
+        object.__setattr__(self, "serial_fraction", None if ae is None else 1.0 - ae)
 
     @classmethod
     def from_speedup(cls, k: int, s: float) -> "MetricRow":
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {k!r}")
-        eff = efficiency(s, k)
-        if k >= 2:
-            ae = alpha_eff(s, k)
-            return cls(k, s, eff, ae, 1.0 - ae)
-        return cls(k, s, eff, None, None)
+        return cls(k, s)
 
     @property
     def regime(self) -> str:

@@ -21,6 +21,7 @@ whole parameter grids.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
@@ -146,9 +147,13 @@ def _assign(chunks: Sequence[float], k: int, policy: AssignmentPolicy) -> list[i
             return assignment
         raise ValueError(f"unknown assignment policy {policy!r}")
 
+    assignment = []
     try:
-        assignment = [int(w) for w in policy]
-    except (TypeError, ValueError) as exc:
+        for w in policy:
+            if isinstance(w, bool):
+                raise TypeError(f"{w!r} is a bool, not an integer")
+            assignment.append(operator.index(w))
+    except TypeError as exc:
         raise ValueError(f"explicit policy must be a sequence of worker indices: {exc}")
     if len(assignment) != n:
         raise ValueError(
@@ -199,7 +204,7 @@ def simulate(
     ``policy``, all starting after the serialized work so the makespan
     is serialized time plus the maximum per-worker load.
     """
-    if not isinstance(k, int) or k < 1:
+    if not metrics._is_count(k):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     chunks = timeline.chunk_durations
     assignment = _assign(chunks, k, policy)

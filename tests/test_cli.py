@@ -114,6 +114,17 @@ class TestAnalyze:
         assert rc == 0
         assert "solver" in out
 
+    def test_json_content_sniffed_in_any_file(self, capsys, tmp_path):
+        series = dataio.parse_measurements(CSV_SMOKE)
+        path = tmp_path / "runs.txt"
+        path.write_text(dataio.emit_measurements(series, format="json"))
+        rc, out, err = run_cli(capsys, "analyze", str(path))
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1].split()[:2] == ["solver", "1"]
+        rc, _, err = run_cli(capsys, "analyze", str(path), "--input-format", "csv")
+        assert rc == 2
+        assert err.startswith("error: line 1: header missing column(s)")
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"
         rc, out, _ = run_cli(capsys, "analyze",
@@ -138,11 +149,10 @@ class TestAnalyze:
     def test_empty_input_warns_but_succeeds(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("label,k,value,kind\n")
-        with pytest.warns(UserWarning, match="no measurement rows"):
-            rc = main(["analyze", str(path)])
-        out = capsys.readouterr().out
+        rc, out, err = run_cli(capsys, "analyze", str(path))
         assert rc == 0
         assert len(out.strip().splitlines()) == 1   # header only
+        assert err == "warning: no measurement rows in input\n"
 
     def test_lone_numeric_json_label_is_data_error(self, capsys, monkeypatch):
         doc = {"series": [{"label": 7, "kind": "speedup", "points": [{"k": 2, "value": 1.5}]}]}
@@ -488,6 +498,12 @@ class TestFixtures:
     def test_unknown_id(self, capsys):
         rc, _, err = run_cli(capsys, "fixtures", "export", "bogus")
         assert rc == 2
+
+    @pytest.mark.parametrize("fixture_id", dataio.FIXTURE_IDS)
+    def test_export_table_rejected_for_every_fixture(self, capsys, fixture_id):
+        rc, out, err = run_cli(capsys, "fixtures", "export", fixture_id, "--format", "table")
+        assert (rc, out) == (2, "")
+        assert err == "error: unknown measurement format 'table' (expected csv or json)\n"
 
     def test_unknown_action_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -365,6 +365,20 @@ class TestWorkloadFromSpec:
         with pytest.raises(ValueError, match=message):
             workload_from_spec(spec)
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"alpha": 1.5, "total_ms": 20}, r"alpha_target must lie in \[0, 1\], got 1.5"),
+        ({"alpha": 0.5, "total_ms": 20, "k_list": [1, 0]}, "k values must be integers >= 1, got 0"),
+        ({"alpha": 0.5, "total_ms": 20, "reps": 0}, "repetitions must be an integer >= 1, got 0"),
+        ({"alpha": 1.5, "total_ms": -1}, "alpha_target"),
+    ])
+    def test_fields_checked_before_calibrating(self, monkeypatch, spec, message):
+        def calibrate(seconds):
+            raise AssertionError("calibrated before the fields were checked")
+
+        monkeypatch.setattr(harness, "calibrate", calibrate)
+        with pytest.raises(ValueError, match=message):
+            workload_from_spec(spec)
+
 
 # --------------------------------------------------------------- processors
 

@@ -372,21 +372,28 @@ class TestMetricRow:
         assert row.serial_fraction is None
 
     def test_inconsistent_efficiency_rejected(self):
-        with pytest.raises(ValueError):
-            MetricRow(k=4, speedup=2.0, efficiency=0.51,
-                      alpha_eff=alpha_eff(2.0, 4),
-                      serial_fraction=1.0 - alpha_eff(2.0, 4))
+        # The derived fields cannot be passed in, so they cannot disagree.
+        with pytest.raises(TypeError):
+            MetricRow(k=4, speedup=2.0, efficiency=0.51)
 
     def test_inconsistent_serial_fraction_rejected(self):
-        a = alpha_eff(2.0, 4)
-        with pytest.raises(ValueError):
-            MetricRow(k=4, speedup=2.0, efficiency=0.5,
-                      alpha_eff=a, serial_fraction=0.25)
+        with pytest.raises(TypeError):
+            MetricRow(k=4, speedup=2.0, alpha_eff=alpha_eff(2.0, 4))
+        with pytest.raises(TypeError):
+            MetricRow(k=4, speedup=2.0, serial_fraction=0.25)
 
     def test_alpha_required_for_k_ge_2(self):
+        assert MetricRow(4, 2.0).alpha_eff == alpha_eff(2.0, 4)
+        assert MetricRow(2, 1.0).alpha_eff is not None
+        assert MetricRow(1, 2.0).alpha_eff is None
+
+    @pytest.mark.parametrize("k, s", [(True, 1.0), (2.0, 1.0), ("2", 1.0),
+                                      (2, True), (2, "1.5"), (2, None)])
+    def test_bools_strings_and_floats_rejected(self, k, s):
         with pytest.raises(ValueError):
-            MetricRow(k=4, speedup=2.0, efficiency=0.5,
-                      alpha_eff=None, serial_fraction=None)
+            MetricRow(k, s)
+        with pytest.raises(ValueError):
+            MetricRow.from_speedup(k, s)
 
 
 # ---------------------------------------------------------- property tests
@@ -465,6 +472,20 @@ def test_metric_row_from_speedup_always_valid(k, s):
         assert row.serial_fraction == 1.0 - row.alpha_eff
     else:
         assert row.alpha_eff is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(min_value=1, max_value=1024),
+       s=st.floats(min_value=1e-300, max_value=1e300))
+def test_metric_row_fields_derive_from_k_and_speedup(k, s):
+    row = MetricRow(k, s)
+    assert row == MetricRow.from_speedup(k, s)
+    assert row.efficiency == efficiency(s, k)
+    if k >= 2:
+        assert row.alpha_eff == alpha_eff(s, k)
+        assert row.serial_fraction == 1.0 - alpha_eff(s, k)
+    else:
+        assert row.alpha_eff is None and row.serial_fraction is None
 
 
 # --------------------------------------------------- regime classification

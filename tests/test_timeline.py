@@ -178,6 +178,8 @@ class TestSimulateScenarios:
             simulate(CLASSIC, 0)
         with pytest.raises(ValueError):
             simulate(CLASSIC, 2.0)
+        with pytest.raises(ValueError, match="got True"):
+            simulate(CLASSIC, True)
 
 
 class TestPolicies:
@@ -225,6 +227,11 @@ class TestPolicies:
             simulate(chunks_timeline([1, 2]), 2, [0, 2])
         with pytest.raises(ValueError):
             simulate(chunks_timeline([1, 2]), 2, [0, -1])
+
+    @pytest.mark.parametrize("policy", [[0.9, 1.9], [0.0, 1.0], ["0", "1"], [False, True]])
+    def test_explicit_non_integer_indices_rejected(self, policy):
+        with pytest.raises(ValueError, match="explicit policy must be a sequence of worker indices"):
+            simulate(chunks_timeline([1, 2]), 2, policy)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
