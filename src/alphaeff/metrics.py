@@ -54,13 +54,27 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _as_float(value) -> float:
+    """float(value), reading an int past the float range as inf or -inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _is_number(value) -> bool:
-    """True for an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a float, or an int that is not a bool and fits a float."""
+    if isinstance(value, float):
+        return True
+    return isinstance(value, int) and not isinstance(value, bool) and math.isfinite(_as_float(value))
 
 
 def _check_finite(name: str, value: float) -> float:
-    value = float(value)
+    # _as_float inlined: every surface cell runs this five times.
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value

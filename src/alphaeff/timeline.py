@@ -20,6 +20,7 @@ whole parameter grids.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -61,7 +62,7 @@ class Segment:
     def __post_init__(self):
         if not isinstance(self.kind, SegmentKind):
             raise ValueError(f"kind must be a SegmentKind, got {self.kind!r}")
-        d = float(self.duration)
+        d = metrics._as_float(self.duration)
         if not (math.isfinite(d) and d >= 0.0):
             raise ValueError(f"duration must be finite and >= 0, got {self.duration!r}")
         object.__setattr__(self, "duration", d)
@@ -122,8 +123,10 @@ class Timeline:
 # Static assignment policies.  ROUND_ROBIN deals chunk i to worker
 # i mod k in timeline order; LPT (longest processing time first) sorts
 # chunks by descending duration and greedily gives each to the currently
-# least-loaded worker, breaking ties toward the lowest worker index.  An
-# explicit policy is any sequence of worker indices, one per chunk.
+# least-loaded worker, breaking ties toward the lowest worker index.  The
+# workers sit in a heap of (load, index) tuples, so tuple order makes that
+# tie-break and each pick costs O(log k): LPT runs in O(n log n + n log k).
+# An explicit policy is any sequence of worker indices, one per chunk.
 ROUND_ROBIN = "round-robin"
 LPT = "lpt"
 
@@ -137,13 +140,13 @@ def _assign(chunks: Sequence[float], k: int, policy: AssignmentPolicy) -> list[i
             return [i % k for i in range(n)]
         if policy == LPT:
             # Stable sort keeps timeline order among equal durations.
-            order = sorted(range(n), key=lambda i: chunks[i], reverse=True)
-            loads = [0.0] * k
+            order = sorted(range(n), key=chunks.__getitem__, reverse=True)
+            heap = [(0.0, w) for w in range(k)]  # sorted, hence a valid heap
             assignment = [0] * n
             for i in order:
-                worker = min(range(k), key=loads.__getitem__)
+                load, worker = heap[0]
                 assignment[i] = worker
-                loads[worker] += chunks[i]
+                heapq.heapreplace(heap, (load + chunks[i], worker))
             return assignment
         raise ValueError(f"unknown assignment policy {policy!r}")
 
@@ -206,7 +209,11 @@ def simulate(
     """
     if not metrics._is_count(k):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    chunks = timeline.chunk_durations
+    by_kind = {kind: [] for kind in SegmentKind}
+    for seg in timeline.segments:
+        by_kind[seg.kind].append(seg.duration)
+    seq = by_kind[SegmentKind.SEQUENTIAL]
+    chunks = by_kind[SegmentKind.PARALLEL_CHUNK]
     assignment = _assign(chunks, k, policy)
 
     loads = [0.0] * k
@@ -217,8 +224,10 @@ def simulate(
     busy = tuple(loads)
     wait = tuple(max_load - load for load in loads)
 
-    t_serial = serial_time(timeline)
-    t_total = timeline.total_sequential + timeline.total_control + max_load
+    # fsum is exactly rounded, so the order of the terms does not matter:
+    # t_serial equals serial_time(timeline) bit for bit.
+    t_serial = math.fsum(seq + chunks)
+    t_total = math.fsum(seq) + math.fsum(by_kind[SegmentKind.CONTROL]) + max_load
     # t_total > 0 because some segment has positive duration and every
     # kind contributes to it (chunks via some worker's load <= max).
     s = t_serial / t_total

@@ -161,6 +161,18 @@ class TestAnalyze:
         assert (rc, out) == (2, "")
         assert err == "error: series[0]: label must be a string, got 7\n"
 
+    @pytest.mark.parametrize("field, message", [
+        ("value", "error: series[0].points[0]: value must be a number\n"),
+        ("k", "error: k must be finite, got inf\n"),
+    ], ids=["value", "k"])
+    def test_json_int_past_float_range_is_data_error(self, capsys, monkeypatch,
+                                                     field, message):
+        point = {"k": 1, "value": 1.0, field: 10**400}
+        doc = {"series": [{"label": "a", "kind": "speedup", "points": [point]}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "analyze", "-")
+        assert (rc, out, err) == (2, "", message)
+
     def test_fit_residual_past_float_range_reads_inf(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("label,k,value,kind\na,1,1.0,speedup\n"
@@ -256,6 +268,12 @@ class TestSimulate:
         rc, out, err = run_cli(capsys, "simulate", "-", "--k", "2")
         assert (rc, out) == (2, "")
         assert err == "error: timeline durations sum past the float range\n"
+
+    def test_json_int_duration_past_float_range_is_data_error(self, capsys, monkeypatch):
+        doc = {"segments": [{"kind": "S", "duration": 10**400}, {"kind": "P", "duration": 1}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        rc, out, err = run_cli(capsys, "simulate", "-", "--k", "2")
+        assert (rc, out, err) == (2, "", "error: segments[0]: duration must be a number\n")
 
     def test_bad_policy(self, capsys):
         rc, _, err = run_cli(capsys, "simulate", "fixtures://classic",
@@ -419,6 +437,12 @@ class TestBench:
         rc, out, err = run_cli(capsys, "bench", "--spec", "-")
         assert (rc, out) == (2, "")
         assert err == "error: k values must be integers >= 1, got True\n"
+
+    def test_spec_int_total_ms_past_float_range_is_data_error(self, capsys, monkeypatch):
+        spec = json.dumps({"alpha": 0.5, "total_ms": 10**400})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        rc, out, err = run_cli(capsys, "bench", "--spec", "-")
+        assert (rc, out, err) == (2, "", "error: total_ms must be a number\n")
 
     def test_bad_spec_keys(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

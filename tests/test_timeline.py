@@ -5,7 +5,9 @@ Scheduling expectations are hand-computed load lists; scenario numbers
 are hand-summed from the bundled scenario definitions.
 """
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -79,6 +81,10 @@ class TestSegments:
             parallel_chunk(math.inf)
         with pytest.raises(ValueError):
             parallel_chunk(math.nan)
+
+    def test_int_past_float_range_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Segment(SegmentKind.SEQUENTIAL, 10**400)
 
     def test_kind_must_be_enum(self):
         with pytest.raises(ValueError):
@@ -213,6 +219,15 @@ class TestPolicies:
         tl = chunks_timeline([2, 1, 1, 5])
         assert simulate(tl, 2, ROUND_ROBIN).t_total == 6.0
         assert simulate(tl, 3, ROUND_ROBIN).t_total == 7.0
+
+    def test_lpt_on_25k_chunks_is_pinned(self):
+        # Hypothesis sizes stay small; this pins one full-size schedule
+        # (the digest of the O(n*k) scan this simulator once used).
+        rng = random.Random(0)
+        chunks = [round(rng.uniform(0.0, 10.0), 2) for _ in range(25_000)]
+        tl = chunks_timeline(chunks, seq=1.0, ctl=0.5)
+        digest = hashlib.sha256(repr(vars(simulate(tl, 256, LPT))).encode()).hexdigest()
+        assert digest == "fc6f4ea0e7f4c367a45e7fd9abf1e01fa9d3861f4171cfd75e74512ffc6bd671"
 
     def test_explicit_assignment(self):
         r = simulate(chunks_timeline([1, 2, 3]), 2, [0, 1, 0])
@@ -406,3 +421,46 @@ def test_equal_chunks_without_control_match_amdahl(seq, chunk, n):
     r = simulate(tl, n)
     assert r.speedup == pytest.approx(
         metrics.amdahl_speedup(alpha, n), rel=1e-12)
+
+
+def lpt_by_scan(chunks, k):
+    """LPT as a plain O(n*k) scan for the least-loaded worker."""
+    order = sorted(range(len(chunks)), key=lambda i: chunks[i], reverse=True)
+    loads = [0.0] * k
+    assignment = [0] * len(chunks)
+    for i in order:
+        worker = min(range(k), key=loads.__getitem__)
+        assignment[i] = worker
+        loads[worker] += chunks[i]
+    return tuple(assignment)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunks=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=200),
+       k=st.integers(min_value=1, max_value=250))
+def test_lpt_matches_linear_scan(chunks, k):
+    # Small integer durations tie often, both as chunks and as loads.
+    tl = chunks_timeline(chunks, seq=1.0)
+    assert simulate(tl, k, LPT).assignment == lpt_by_scan(tl.chunk_durations, k)
+
+
+wide_durations = st.just(0.0) | st.builds(
+    math.ldexp, st.floats(min_value=0.5, max_value=1.0), st.integers(min_value=-60, max_value=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(segs=st.lists(st.tuples(st.sampled_from(SegmentKind), wide_durations),
+                     min_size=1, max_size=30),
+       k=st.integers(min_value=1, max_value=6), data=st.data())
+def test_simulate_sums_are_exactly_rounded(segs, k, data):
+    # Durations span 36 decimal orders, so only exactly rounded sums agree.
+    assume(any(d > 0.0 for _, d in segs))
+    tl = Timeline([Segment(kind, d) for kind, d in segs])
+    n = len(tl.chunk_durations)
+    explicit = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                                  min_size=n, max_size=n))
+    for policy in (ROUND_ROBIN, LPT, explicit):
+        r = simulate(tl, k, policy)
+        assert r.t_serial == serial_time(tl)
+        assert r.t_total == (tl.total_sequential + tl.total_control
+                             + max(r.per_processor_busy))
