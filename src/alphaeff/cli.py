@@ -191,6 +191,8 @@ def cmd_fixtures(args) -> str:
         raise ValueError(f"fixtures {args.action} needs a fixture id")
     fixture = dataio.load_fixture(args.id)
     if args.action == "show":
+        if args.format == "csv":
+            raise ValueError("fixtures show has no csv format (expected table or json)")
         if args.format == "json":
             series = [
                 {"label": s.label, "kind": s.value_kind.value, "points": s.points}

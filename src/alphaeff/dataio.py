@@ -167,20 +167,17 @@ class Fixture:
             label: tuple(sorted((int(k), float(v)) for k, v in pairs))
             for label, pairs in dict(self.published_serial_fraction).items()
         }
+        ks_by_label = {s.label: {k for k, _ in s.points} for s in series}
         for label, pairs in published.items():
+            if series and label not in ks_by_label:
+                raise ValueError(f"published label {label!r} has no matching series")
             for k, v in pairs:
                 if k < 1:
                     raise ValueError(f"{label!r}: published k must be >= 1, got {k}")
                 if not (math.isfinite(v) and v >= 0.0):
                     raise ValueError(f"{label!r}: published serial fraction must be >= 0, got {v}")
-        if series:
-            ks_by_label = {s.label: {k for k, _ in s.points} for s in series}
-            for label, pairs in published.items():
-                if label not in ks_by_label:
-                    raise ValueError(f"published label {label!r} has no matching series")
-                for k, _ in pairs:
-                    if k != 1 and k not in ks_by_label[label]:
-                        raise ValueError(f"{label!r}: published k={k} not in the series")
+                if series and k != 1 and k not in ks_by_label[label]:
+                    raise ValueError(f"{label!r}: published k={k} not in the series")
         if self.verifiable and not (series and published):
             raise ValueError("a verifiable fixture needs series and published values")
         object.__setattr__(self, "published_serial_fraction", published)
@@ -262,36 +259,38 @@ def _csv_records(text: str) -> Iterable[tuple[int, list[str]]]:
 
 
 def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
-    columns = None
+    pick = None  # the header's column indices, resolved once per file
     rows = []
     for lineno, fields in _csv_records(text):
-        if columns is None:
+        if pick is None:
             missing = [c for c in _REQUIRED_COLUMNS if c not in fields]
             if missing:
                 raise DataFormatError(
                     f"line {lineno}: header missing column(s) {', '.join(missing)}"
                 )
-            columns = {name: fields.index(name) for name in _REQUIRED_COLUMNS}
+            indices = [fields.index(name) for name in _REQUIRED_COLUMNS]
+            pick = operator.itemgetter(*indices)
+            width = max(indices) + 1
             continue
-        if len(fields) <= max(columns.values()):
+        if len(fields) < width:
             raise DataFormatError(
-                f"line {lineno}: expected at least {max(columns.values()) + 1} fields, got {len(fields)}"
+                f"line {lineno}: expected at least {width} fields, got {len(fields)}"
             )
-        label = fields[columns["label"]]
+        label, k_text, value_text, kind_text = pick(fields)
         try:
-            k = int(fields[columns["k"]])
+            k = int(k_text)
         except ValueError:
-            raise DataFormatError(f"line {lineno}: k must be an integer, got {fields[columns['k']]!r}")
+            raise DataFormatError(f"line {lineno}: k must be an integer, got {k_text!r}")
+        if k < 1:
+            raise DataFormatError(f"line {lineno}: k must be an integer >= 1, got {k}")
         try:
-            value = float(fields[columns["value"]])
+            value = float(value_text)
         except ValueError:
-            raise DataFormatError(
-                f"line {lineno}: value must be a number, got {fields[columns['value']]!r}"
-            )
+            raise DataFormatError(f"line {lineno}: value must be a number, got {value_text!r}")
         if not (math.isfinite(value) and value > 0.0):
             raise DataFormatError(f"line {lineno}: value must be positive, got {value}")
         try:
-            kind = ValueKind.from_text(fields[columns["kind"]])
+            kind = ValueKind.from_text(kind_text)
         except ValueError as exc:
             raise DataFormatError(f"line {lineno}: {exc}")
         rows.append((lineno, label, k, value, kind))
@@ -308,13 +307,13 @@ def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
         if k in points:
             raise DataFormatError(f"line {lineno}: duplicate k={k} for label {label!r}")
         points[k] = value
-    try:
-        return [
-            MeasurementSeries(label, tuple(points.items()), kind)
-            for label, (kind, _, points) in groups.items()
-        ]
-    except ValueError as exc:
-        raise DataFormatError(str(exc))
+    series = []
+    for label, (kind, first_line, points) in groups.items():
+        try:
+            series.append(MeasurementSeries(label, tuple(points.items()), kind))
+        except ValueError as exc:
+            raise DataFormatError(f"line {first_line}: {exc}")
+    return series
 
 
 def _json_list(source, key: str, what: str) -> list:

@@ -105,9 +105,6 @@ class EffectiveParallelization(float):
         obj.regime = regime
         return obj
 
-    def __getnewargs__(self):
-        return (float(self), self.regime)
-
 
 def speedup(t_serial: float, t_parallel: float) -> float:
     """Ratio of serial to parallel wall time; > 1 means the run got faster."""

@@ -82,7 +82,12 @@ def control(duration: float) -> Segment:
 
 @dataclass(frozen=True)
 class Timeline:
-    """An ordered, immutable sequence of segments with some work in it."""
+    """An ordered, immutable sequence of segments with some work in it.
+
+    Construction is the one walk over the segments: it also groups their
+    durations by kind, in timeline order.  The accessors, ``serial_time``
+    and ``simulate`` read those groups.
+    """
 
     segments: tuple[Segment, ...]
 
@@ -90,34 +95,33 @@ class Timeline:
         segs = tuple(self.segments)
         if not segs:
             raise ValueError("timeline must contain at least one segment")
-        # Durations are finite and >= 0: the sum is 0 only without positive
-        # work, and raises only past the float range.
+        durations = {kind: [] for kind in SegmentKind}
+        for s in segs:
+            durations[s.kind].append(s.duration)
+        # Durations are finite and >= 0: the (exactly rounded, so order-free)
+        # sum is 0 only without positive work, and raises only past the float range.
         try:
-            total = math.fsum(s.duration for s in segs)
+            total = math.fsum([d for group in durations.values() for d in group])
         except OverflowError:
             raise ValueError("timeline durations sum past the float range") from None
         if total == 0.0:
             raise ValueError("timeline must contain at least one positive duration")
         object.__setattr__(self, "segments", segs)
+        # Not a field, so repr, ==, hash and replace() see only the segments.
+        object.__setattr__(self, "_durations", {k: tuple(g) for k, g in durations.items()})
 
     @property
     def chunk_durations(self) -> tuple[float, ...]:
         """Durations of the parallel chunks, in timeline order."""
-        return tuple(
-            s.duration for s in self.segments if s.kind is SegmentKind.PARALLEL_CHUNK
-        )
+        return self._durations[SegmentKind.PARALLEL_CHUNK]
 
     @property
     def total_sequential(self) -> float:
-        return math.fsum(
-            s.duration for s in self.segments if s.kind is SegmentKind.SEQUENTIAL
-        )
+        return math.fsum(self._durations[SegmentKind.SEQUENTIAL])
 
     @property
     def total_control(self) -> float:
-        return math.fsum(
-            s.duration for s in self.segments if s.kind is SegmentKind.CONTROL
-        )
+        return math.fsum(self._durations[SegmentKind.CONTROL])
 
 
 # Static assignment policies.  ROUND_ROBIN deals chunk i to worker
@@ -170,11 +174,8 @@ def _assign(chunks: Sequence[float], k: int, policy: AssignmentPolicy) -> list[i
 
 def serial_time(timeline: Timeline) -> float:
     """One-processor baseline: sequential plus chunk work, no control."""
-    return math.fsum(
-        s.duration
-        for s in timeline.segments
-        if s.kind is not SegmentKind.CONTROL
-    )
+    # fsum is exactly rounded, so this equals the timeline-order sum.
+    return math.fsum(timeline._durations[SegmentKind.SEQUENTIAL] + timeline.chunk_durations)
 
 
 @dataclass(frozen=True)
@@ -209,11 +210,7 @@ def simulate(
     """
     if not metrics._is_count(k):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    by_kind = {kind: [] for kind in SegmentKind}
-    for seg in timeline.segments:
-        by_kind[seg.kind].append(seg.duration)
-    seq = by_kind[SegmentKind.SEQUENTIAL]
-    chunks = by_kind[SegmentKind.PARALLEL_CHUNK]
+    chunks = timeline.chunk_durations
     assignment = _assign(chunks, k, policy)
 
     loads = [0.0] * k
@@ -224,10 +221,8 @@ def simulate(
     busy = tuple(loads)
     wait = tuple(max_load - load for load in loads)
 
-    # fsum is exactly rounded, so the order of the terms does not matter:
-    # t_serial equals serial_time(timeline) bit for bit.
-    t_serial = math.fsum(seq + chunks)
-    t_total = math.fsum(seq) + math.fsum(by_kind[SegmentKind.CONTROL]) + max_load
+    t_serial = serial_time(timeline)
+    t_total = timeline.total_sequential + timeline.total_control + max_load
     # t_total > 0 because some segment has positive duration and every
     # kind contributes to it (chunks via some worker's load <= max).
     s = t_serial / t_total
@@ -321,16 +316,18 @@ def sweep_surface(
 ) -> SurfaceGrid:
     """Evaluate ``surface`` on an evenly spaced steps x steps grid.
 
-    Both ranges are inclusive (lo, hi) and must be non-degenerate
-    (hi > lo); ``steps`` must be at least 2.  Grid cells are exactly the
+    Both ranges are inclusive (lo, hi) and must be finite and
+    non-degenerate (hi > lo); ``steps`` must be at least 2.  Grid cells are exactly the
     corresponding pointwise ``surface`` calls.
     """
     seq_lo, seq_hi = (float(v) for v in seq_range)
     ov_lo, ov_hi = (float(v) for v in overhead_range)
-    if not (seq_hi > seq_lo):
-        raise ValueError(f"degenerate seq_range {seq_range!r}")
-    if not (ov_hi > ov_lo):
-        raise ValueError(f"degenerate overhead_range {overhead_range!r}")
+    for name, given, lo, hi in (("seq_range", seq_range, seq_lo, seq_hi),
+                                ("overhead_range", overhead_range, ov_lo, ov_hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} must be finite, got {(lo, hi)!r}")
+        if not (hi > lo):
+            raise ValueError(f"degenerate {name} {given!r}")
     if not isinstance(steps, int) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
 

@@ -346,6 +346,16 @@ class TestSurface:
         assert rc == 2
         assert "LO:HI" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--seq-range", "a:b"), "range bounds must be numbers, got 'a:b'"),
+        (("--seq-range", "0:inf", "--steps", "3"), "seq_range must be finite, got (0.0, inf)"),
+        (("--overhead-range", "0:nan"), "overhead_range must be finite, got (0.0, nan)"),
+    ], ids=["not-numbers", "seq-inf", "overhead-nan"])
+    def test_bad_bounds_rejected(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, "surface", *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_too_few_steps_rejected(self, capsys):
         rc, _, err = run_cli(capsys, "surface", "--steps", "1")
         assert rc == 2
@@ -459,6 +469,8 @@ class TestFixtures:
         rc, out, _ = run_cli(capsys, "fixtures", "list")
         assert rc == 0
         assert out.splitlines() == list(dataio.FIXTURE_IDS)
+        # One id per line is also valid one-column CSV.
+        assert run_cli(capsys, "fixtures", "list", "--format", "csv") == (0, out, "")
 
     def test_list_json(self, capsys):
         rc, out, _ = run_cli(capsys, "fixtures", "list", "--format", "json")
@@ -481,6 +493,11 @@ class TestFixtures:
         assert doc["verifiable"] is False
         assert doc["series"] == []
         assert len(doc["published_serial_fraction"]) == 3
+
+    def test_show_csv_rejected(self, capsys):
+        rc, out, err = run_cli(capsys, "fixtures", "show", "audio_radar", "--format", "csv")
+        assert (rc, out) == (2, "")
+        assert err == "error: fixtures show has no csv format (expected table or json)\n"
 
     def test_show_needs_id(self, capsys):
         rc, _, err = run_cli(capsys, "fixtures", "show")

@@ -118,6 +118,9 @@ class TestParseCsv:
     def test_short_row_rejected(self):
         with pytest.raises(DataFormatError, match="line 2"):
             parse_measurements("label,k,value,kind\nx,2\n")
+        # One field short of the header's last required column.
+        with pytest.raises(DataFormatError, match="^line 2: expected at least 4 fields, got 3$"):
+            parse_measurements("label,k,value,kind\nx,2,1.5\n")
 
     def test_duplicate_k_rejected(self):
         text = "label,k,value,kind\nx,2,1.5,speedup\nx,2,1.6,speedup\n"
@@ -141,9 +144,27 @@ class TestParseCsv:
         # A duplicate k on line 3, then a negative value on line 4.
         ("label,k,value,kind\nx,2,1.5,speedup\nx,2,1.6,speedup\nx,4,-2,speedup\n",
          "line 4: value must be positive, got -2.0"),
-    ], ids=["kind-conflict-then-bad-number", "duplicate-k-then-negative"])
+        # A duplicate k on line 3, then k = 0 on line 4.
+        ("label,k,value,kind\nx,2,1.5,speedup\nx,2,1.6,speedup\nx,0,2,speedup\n",
+         "line 4: k must be an integer >= 1, got 0"),
+    ], ids=["kind-conflict-then-bad-number", "duplicate-k-then-negative",
+            "duplicate-k-then-k-zero"])
     def test_field_errors_win_over_earlier_grouping_errors(self, text, message):
         # Every line's fields are checked before any rows are grouped by label.
+        with pytest.raises(DataFormatError) as info:
+            parse_measurements(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("label,k,value,kind\na,1,1.0,speedup\na,0,1.0,speedup\n",
+         "line 3: k must be an integer >= 1, got 0"),
+        # Series errors name the first line of their label.
+        ("label,k,value,kind\nb,1,1.0,speedup\n,1,1.0,speedup\n,2,1.5,speedup\n",
+         "line 3: series label must be a non-empty string"),
+        ("label,k,value,kind\nb,1,1.0,speedup\na,2,5.0,time\na,4,3.0,time\n",
+         "line 3: 'a': wall-time series has no baseline point at k=1"),
+    ], ids=["k-zero", "empty-label", "time-without-baseline"])
+    def test_every_error_names_a_line(self, text, message):
         with pytest.raises(DataFormatError) as info:
             parse_measurements(text)
         assert str(info.value) == message
@@ -232,6 +253,24 @@ class TestParseJson:
         doc["series"][0]["label"], doc["series"][1]["label"] = 1, "1"
         with pytest.raises(DataFormatError, match="^series\\[0\\]: label must be a string, got 1$"):
             parse_measurements(json.dumps(doc), format="json")
+
+    @pytest.mark.parametrize("entry, message", [
+        (1, "series[0]: must be an object"),
+        ({"label": "a", "kind": "ratio", "points": []},
+         "series[0]: unknown value kind 'ratio' (expected one of: time, speedup, efficiency)"),
+        ({"label": "a", "kind": "speedup", "points": {}}, "series[0]: points must be a list"),
+        ({"label": "a", "kind": "speedup", "points": [1]},
+         'series[0].points[0]: must be an object with "k" and "value"'),
+        ({"label": "a", "kind": "speedup", "baseline_k": 1.5, "points": []},
+         "series[0]: baseline_k must be an integer"),
+        ({"label": "a", "kind": "speedup", "points": [{"k": 0, "value": 1.0}]},
+         "series[0]: 'a': k must be an integer >= 1, got 0"),
+    ], ids=["entry-not-object", "unknown-kind", "points-not-list", "point-not-object",
+            "baseline-not-integer", "series-error-wrapped"])
+    def test_entry_errors(self, entry, message):
+        with pytest.raises(DataFormatError) as info:
+            parse_measurements(json.dumps({"series": [entry]}), format="json")
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("label, shown", [(None, "None"), (True, "True"), (7, "7"), ([1], "[1]")])
     def test_non_string_label_rejected(self, label, shown):
@@ -407,6 +446,8 @@ class TestFixtures:
             Fixture("f", "d", (), {}, verifiable=True)
         with pytest.raises(ValueError, match=">= 0"):
             Fixture("f", "d", (), {"x": ((4, -0.01),)}, verifiable=False)
+        with pytest.raises(ValueError, match="^'x': published k must be >= 1, got 0$"):
+            Fixture("f", "d", (s,), {"x": ((0, 0.01),)}, verifiable=True)
 
 
 # --------------------------------------------------------------- scenarios
@@ -439,6 +480,11 @@ class TestScenarios:
         assert tl.total_sequential == 1.0
         assert tl.chunk_durations == (2.0,)
         assert tl.total_control == 0.5
+
+    def test_parse_scenario_non_object_segment(self):
+        with pytest.raises(DataFormatError) as info:
+            parse_scenario('{"segments": [{"kind": "S", "duration": 1.0}, 1]}')
+        assert str(info.value) == 'segments[1]: must be an object with "kind" and "duration"'
 
     def test_parse_scenario_errors(self):
         with pytest.raises(DataFormatError, match="invalid JSON"):

@@ -4,7 +4,9 @@ Expected values are frozen from independent hand/rational arithmetic
 (fractions reduced by hand where exact), never from the implementation.
 """
 
+import copy
 import math
+import pickle
 import sys
 
 import pytest
@@ -134,6 +136,16 @@ class TestAlphaEff:
         assert isinstance(a, EffectiveParallelization)
         # It must behave as a plain float in arithmetic.
         assert a + 0.0 == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("s, regime", [(0.5, SLOWDOWN), (2.0, NORMAL), (5.0, SUPERLINEAR)])
+    def test_pickle_and_copy_keep_value_and_regime(self, s, regime):
+        a = alpha_eff(s, 4)
+        assert a.regime == regime
+        clones = [pickle.loads(pickle.dumps(a, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for b in clones + [copy.copy(a), copy.deepcopy(a)]:
+            assert type(b) is EffectiveParallelization
+            assert (float(b), b.regime) == (float(a), regime)
 
     def test_classify_regime(self):
         assert classify_regime(0.5, 4) == SLOWDOWN
@@ -323,6 +335,12 @@ class TestFitAlpha:
     def test_baseline_only_points_ignored(self):
         result = fit_alpha(_series([(1, 1.0), (4, amdahl_speedup(0.6, 4))]))
         assert result.model.alpha == pytest.approx(0.6, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0])
+    def test_nonpositive_speedup_rejected(self, s):
+        with pytest.raises(ValueError) as info:
+            fit_alpha([(2, 1.5), (4, s)])
+        assert str(info.value) == f"speedup must be positive, got {s}"
 
     def test_no_usable_points_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ Scheduling expectations are hand-computed load lists; scenario numbers
 are hand-summed from the bundled scenario definitions.
 """
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -117,6 +118,15 @@ class TestTimeline:
     def test_segments_coerced_to_tuple(self):
         t = Timeline([sequential(1.0)])
         assert isinstance(t.segments, tuple)
+
+    def test_segments_are_the_only_field(self):
+        # The durations grouped by kind are derived state, not a field.
+        assert [f.name for f in dataclasses.fields(Timeline)] == ["segments"]
+        assert repr(CLASSIC) == f"Timeline(segments={CLASSIC.segments!r})"
+        copy = dataclasses.replace(CLASSIC)
+        assert copy == CLASSIC and hash(copy) == hash(CLASSIC)
+        assert copy.chunk_durations == CLASSIC.chunk_durations
+        assert dataclasses.replace(CLASSIC, segments=REALISTIC.segments) == REALISTIC
 
 
 # -------------------------------------------------------------- serial_time
@@ -328,6 +338,16 @@ class TestSweepSurface:
         with pytest.raises(ValueError):
             sweep_surface((0.0, 0.8), (0.0, 0.6), 1, 3, 0.25)
 
+    @pytest.mark.parametrize("seq_range, overhead_range, message", [
+        ((0, math.inf), (0.0, 0.6), "seq_range must be finite, got (0.0, inf)"),
+        ((-math.inf, 1.0), (0.0, 0.6), "seq_range must be finite, got (-inf, 1.0)"),
+        ((0.0, 0.8), (0, math.nan), "overhead_range must be finite, got (0.0, nan)"),
+    ], ids=["seq-inf", "seq-minus-inf", "overhead-nan"])
+    def test_non_finite_ranges_rejected(self, seq_range, overhead_range, message):
+        with pytest.raises(ValueError) as info:
+            sweep_surface(seq_range, overhead_range, 3, 3, 0.25)
+        assert str(info.value) == message
+
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -464,3 +484,21 @@ def test_simulate_sums_are_exactly_rounded(segs, k, data):
         assert r.t_serial == serial_time(tl)
         assert r.t_total == (tl.total_sequential + tl.total_control
                              + max(r.per_processor_busy))
+
+
+@settings(max_examples=300, deadline=None)
+@given(segs=st.lists(st.tuples(st.sampled_from(SegmentKind), wide_durations),
+                     min_size=1, max_size=30))
+def test_grouped_accessors_match_timeline_order_filters(segs):
+    # The accessors read the durations grouped at construction; the
+    # references are the filters over the segments they replaced.
+    assume(any(d > 0.0 for _, d in segs))
+    tl = Timeline([Segment(kind, d) for kind, d in segs])
+    assert tl.chunk_durations == tuple(
+        s.duration for s in tl.segments if s.kind is SegmentKind.PARALLEL_CHUNK)
+    assert tl.total_sequential == math.fsum(
+        s.duration for s in tl.segments if s.kind is SegmentKind.SEQUENTIAL)
+    assert tl.total_control == math.fsum(
+        s.duration for s in tl.segments if s.kind is SegmentKind.CONTROL)
+    assert serial_time(tl) == math.fsum(
+        s.duration for s in tl.segments if s.kind is not SegmentKind.CONTROL)
