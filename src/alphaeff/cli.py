@@ -6,7 +6,7 @@ sweep), ``bench`` (synthetic measurements on this host), ``fixtures``
 (bundled datasets).  Bundled inputs are addressed as ``fixtures://<id>``
 and ``-`` reads standard input.
 
-Exit codes: 0 success, 1 I/O failure, 2 validation or data error.
+Exit codes: 0 success, 1 I/O failure or out of memory, 2 validation or data error.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ def _sniff_format(path: str, text: str) -> str:
 
 
 def cmd_analyze(args) -> str:
+    if args.plot and args.format == "json":
+        raise ValueError("--plot blocks cannot follow a JSON document; use --format table or csv")
     if args.input.startswith(_FIXTURE_SCHEME):
         fixture = dataio.load_fixture(args.input[len(_FIXTURE_SCHEME):])
         if not fixture.series:
@@ -303,6 +305,9 @@ def main(argv=None) -> int:
         return 0
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

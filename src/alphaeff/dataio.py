@@ -163,21 +163,20 @@ class Fixture:
     def __post_init__(self):
         series = tuple(self.series)
         object.__setattr__(self, "series", series)
-        published = {
-            label: tuple(sorted((int(k), float(v)) for k, v in pairs))
-            for label, pairs in dict(self.published_serial_fraction).items()
-        }
         ks_by_label = {s.label: {k for k, _ in s.points} for s in series}
-        for label, pairs in published.items():
+        published = {}
+        for label, pairs in dict(self.published_serial_fraction).items():
             if series and label not in ks_by_label:
                 raise ValueError(f"published label {label!r} has no matching series")
+            pairs = [(k, float(v)) for k, v in pairs]
             for k, v in pairs:
-                if k < 1:
-                    raise ValueError(f"{label!r}: published k must be >= 1, got {k}")
+                if not metrics._is_count(k):
+                    raise ValueError(f"{label!r}: published k must be >= 1, got {k!r}")
                 if not (math.isfinite(v) and v >= 0.0):
                     raise ValueError(f"{label!r}: published serial fraction must be >= 0, got {v}")
                 if series and k != 1 and k not in ks_by_label[label]:
                     raise ValueError(f"{label!r}: published k={k} not in the series")
+            published[label] = tuple(sorted(pairs))
         if self.verifiable and not (series and published):
             raise ValueError("a verifiable fixture needs series and published values")
         object.__setattr__(self, "published_serial_fraction", published)
@@ -281,7 +280,7 @@ def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
             k = int(k_text)
         except ValueError:
             raise DataFormatError(f"line {lineno}: k must be an integer, got {k_text!r}")
-        if k < 1:
+        if not metrics._is_count(k):
             raise DataFormatError(f"line {lineno}: k must be an integer >= 1, got {k}")
         try:
             value = float(value_text)
@@ -350,8 +349,8 @@ def _parse_json_measurements(text: str) -> list[MeasurementSeries]:
         for j, p in enumerate(raw_points):
             if not isinstance(p, dict) or "k" not in p or "value" not in p:
                 raise DataFormatError(f'{where}.points[{j}]: must be an object with "k" and "value"')
-            if not isinstance(p["k"], int) or isinstance(p["k"], bool):
-                raise DataFormatError(f"{where}.points[{j}]: k must be an integer")
+            if not metrics._is_count(p["k"]):
+                raise DataFormatError(f"{where}.points[{j}]: k must be an integer >= 1, got {p['k']!r}")
             if not metrics._is_number(p["value"]):
                 raise DataFormatError(f"{where}.points[{j}]: value must be a number")
             points.append((p["k"], float(p["value"])))
@@ -487,11 +486,8 @@ def parse_scenario(source) -> timeline.Timeline:
             kind = timeline.SegmentKind(entry["kind"])
         except ValueError:
             raise DataFormatError(f"{where}: unknown kind {entry['kind']!r} (expected S, P or C)")
-        duration = entry["duration"]
-        if not metrics._is_number(duration):
-            raise DataFormatError(f"{where}: duration must be a number")
         try:
-            segments.append(timeline.Segment(kind, float(duration)))
+            segments.append(timeline.Segment(kind, entry["duration"]))
         except ValueError as exc:
             raise DataFormatError(f"{where}: {exc}")
     try:

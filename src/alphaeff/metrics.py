@@ -20,6 +20,7 @@ clamped, so the anomaly stays visible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -50,27 +51,22 @@ SUPERLINEAR = "superlinear"
 
 
 def _is_count(value) -> bool:
-    """True for an int >= 1 that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _as_float(value) -> float:
-    """float(value), reading an int past the float range as inf or -inf."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+    """True for an int from 1 to sys.maxsize (what a list can index) that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= sys.maxsize
 
 
 def _is_number(value) -> bool:
     """True for a float, or an int that is not a bool and fits a float."""
     if isinstance(value, float):
         return True
-    return isinstance(value, int) and not isinstance(value, bool) and math.isfinite(_as_float(value))
+    try:
+        return isinstance(value, int) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_finite(name: str, value: float) -> float:
-    # _as_float inlined: every surface cell runs this five times.
+    # The one place that reads an int past the float range as inf or -inf.
     try:
         value = float(value)
     except OverflowError:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
@@ -62,9 +63,11 @@ class Segment:
     def __post_init__(self):
         if not isinstance(self.kind, SegmentKind):
             raise ValueError(f"kind must be a SegmentKind, got {self.kind!r}")
-        d = metrics._as_float(self.duration)
+        if not metrics._is_number(self.duration):
+            raise ValueError("duration must be a number")
+        d = float(self.duration)
         if not (math.isfinite(d) and d >= 0.0):
-            raise ValueError(f"duration must be finite and >= 0, got {self.duration!r}")
+            raise ValueError(f"duration must be finite and >= 0, got {d!r}")
         object.__setattr__(self, "duration", d)
 
 
@@ -145,7 +148,8 @@ def _assign(chunks: Sequence[float], k: int, policy: AssignmentPolicy) -> list[i
         if policy == LPT:
             # Stable sort keeps timeline order among equal durations.
             order = sorted(range(n), key=chunks.__getitem__, reverse=True)
-            heap = [(0.0, w) for w in range(k)]  # sorted, hence a valid heap
+            # Sorted, hence a valid heap; as loads are >= 0, no worker past n is picked.
+            heap = [(0.0, w) for w in range(min(k, n))]
             assignment = [0] * n
             for i in order:
                 load, worker = heap[0]
@@ -266,7 +270,8 @@ def surface(
     seq_time = metrics._check_finite("seq_time", seq_time)
     overhead_fraction = metrics._check_finite("overhead_fraction", overhead_fraction)
     chunk_time = metrics._check_finite("chunk_time", chunk_time)
-    if not isinstance(k, int) or k < 2:
+    # Inline, not metrics._is_count: sweep_surface runs this once per cell.
+    if not (isinstance(k, int) and 2 <= k <= sys.maxsize):
         raise ValueError(f"surface needs integer k >= 2, got {k!r}")
     if seq_time < 0.0:
         raise ValueError(f"seq_time must be >= 0, got {seq_time}")
@@ -328,7 +333,7 @@ def sweep_surface(
             raise ValueError(f"{name} must be finite, got {(lo, hi)!r}")
         if not (hi > lo):
             raise ValueError(f"degenerate {name} {given!r}")
-    if not isinstance(steps, int) or steps < 2:
+    if not (metrics._is_count(steps) and steps >= 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
 
     seq_values = _linspace(seq_lo, seq_hi, steps)

@@ -6,13 +6,17 @@ point for real.  Exit code contract: 0 success, 1 I/O or runtime
 failure, 2 bad input or usage.
 """
 
+import contextlib
 import hashlib
 import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaeff import dataio, harness, metrics
 from alphaeff.cli import main
@@ -79,6 +83,27 @@ class TestAnalyze:
                              "--plot", "efficiency", "--xscale", "linear")
         assert rc == 0
         assert "# xscale: linear" in out
+
+    def test_plot_with_json_is_data_error(self, capsys):
+        # Plot blocks after a JSON document would make the output not JSON.
+        rc, out, err = run_cli(capsys, "analyze", "fixtures://audio_radar",
+                               "--format", "json", "--plot", "efficiency")
+        assert (rc, out) == (2, "")
+        assert err == ("error: --plot blocks cannot follow a JSON document; "
+                       "use --format table or csv\n")
+
+    def test_plot_with_csv_appends_blocks(self, capsys):
+        rc, out, _ = run_cli(capsys, "analyze", "fixtures://audio_radar",
+                             "--format", "csv", "--plot", "efficiency")
+        assert rc == 0
+        assert out.count("# series:") == 4
+
+    def test_csv_k_past_index_range_names_its_line(self, capsys, monkeypatch):
+        k = 10**400
+        text = f"label,k,value,kind\na,1,1.0,speedup\na,{k},2.0,speedup\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        rc, out, err = run_cli(capsys, "analyze", "-")
+        assert (rc, out, err) == (2, "", f"error: line 3: k must be an integer >= 1, got {k}\n")
 
     def test_file_input_with_fit(self, capsys, tmp_path):
         pts = [(k, metrics.amdahl_speedup(0.9, k)) for k in (2, 4, 8, 16)]
@@ -163,7 +188,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("field, message", [
         ("value", "error: series[0].points[0]: value must be a number\n"),
-        ("k", "error: k must be finite, got inf\n"),
+        ("k", f"error: series[0].points[0]: k must be an integer >= 1, got {10**400}\n"),
     ], ids=["value", "k"])
     def test_json_int_past_float_range_is_data_error(self, capsys, monkeypatch,
                                                      field, message):
@@ -275,6 +300,20 @@ class TestSimulate:
         rc, out, err = run_cli(capsys, "simulate", "-", "--k", "2")
         assert (rc, out, err) == (2, "", "error: segments[0]: duration must be a number\n")
 
+    @pytest.mark.parametrize("policy", ["round-robin", "lpt"])
+    def test_k_past_index_range_is_data_error(self, capsys, policy):
+        k = 10**400
+        rc, out, err = run_cli(capsys, "simulate", "fixtures://classic",
+                               "--k", str(k), "--policy", policy)
+        assert (rc, out, err) == (2, "", f"error: k must be an integer >= 1, got {k}\n")
+
+    @pytest.mark.parametrize("policy", ["round-robin", "lpt"])
+    def test_k_past_memory_is_io_error(self, capsys, policy):
+        # 2**61 loads need 2**64 bytes, which CPython refuses before asking for them.
+        rc, out, err = run_cli(capsys, "simulate", "fixtures://classic",
+                               "--k", str(2**61), "--policy", policy)
+        assert (rc, out, err) == (1, "", "error: out of memory\n")
+
     def test_bad_policy(self, capsys):
         rc, _, err = run_cli(capsys, "simulate", "fixtures://classic",
                              "--k", "2", "--policy", "fastest")
@@ -359,6 +398,15 @@ class TestSurface:
     def test_too_few_steps_rejected(self, capsys):
         rc, _, err = run_cli(capsys, "surface", "--steps", "1")
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--k", "surface needs integer k >= 2, got {}"),
+        ("--steps", "steps must be an integer >= 2, got {}"),
+    ], ids=["k", "steps"])
+    def test_count_past_index_range_is_data_error(self, capsys, flag, message):
+        big = 10**400
+        rc, out, err = run_cli(capsys, "surface", flag, str(big))
+        assert (rc, out, err) == (2, "", f"error: {message.format(big)}\n")
 
 
 # ------------------------------------------------------------------- bench
@@ -710,3 +758,62 @@ class TestPlumbing:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+# ------------------------------------------------------ exit-code contract
+
+# Any JSON value, including ints far past the float range.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# A CLI count: from -3 to 64 or past sys.maxsize, as any k or steps in
+# between can make simulate or surface really allocate that many entries.
+cli_counts = st.integers(-3, 64) | st.integers(sys.maxsize + 1, 10**400)
+
+
+def _or_any(strategy):
+    """Mostly a plausible value for a field; one time in eight any JSON value."""
+    return st.integers(0, 7).flatmap(lambda roll: json_values if roll == 0 else strategy)
+
+
+point_objects = st.fixed_dictionaries(
+    {"k": _or_any(st.integers(1, 8)), "value": _or_any(st.floats(1e-3, 1e3))})
+series_objects = st.fixed_dictionaries(
+    {"label": _or_any(st.sampled_from(["a", "b"])),
+     "kind": _or_any(st.sampled_from(["time", "speedup", "efficiency"])),
+     "points": _or_any(st.lists(_or_any(point_objects), max_size=4))},
+    optional={"baseline_k": _or_any(st.integers(1, 8))})
+measurement_docs = st.fixed_dictionaries(
+    {"series": _or_any(st.lists(_or_any(series_objects), max_size=3))})
+segment_objects = st.fixed_dictionaries(
+    {"kind": _or_any(st.sampled_from(["S", "P", "C"])), "duration": _or_any(st.floats(0.0, 10.0))})
+scenario_docs = st.fixed_dictionaries(
+    {"segments": _or_any(st.lists(_or_any(segment_objects), max_size=5))})
+
+
+def _exit_code(argv, stdin_text=""):
+    """Run the CLI in-process on ``stdin_text``; any exception escapes to the caller."""
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=measurement_docs, fmt=st.sampled_from(["table", "csv", "json"]))
+def test_analyze_exits_0_or_2(doc, fmt):
+    assert _exit_code(["analyze", "-", "--format", fmt], json.dumps(doc)) in (0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=scenario_docs, k=cli_counts, policy=st.sampled_from(["round-robin", "lpt", "0", "0,1"]))
+def test_simulate_exits_0_or_2(doc, k, policy):
+    argv = ["simulate", "-", f"--k={k}", "--policy", policy]
+    assert _exit_code(argv, json.dumps(doc)) in (0, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=cli_counts, steps=cli_counts)
+def test_surface_exits_0_or_2(k, steps):
+    assert _exit_code(["surface", f"--k={k}", f"--steps={steps}"]) in (0, 2)

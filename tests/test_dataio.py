@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,13 @@ class TestParseCsv:
         text = "label,k,value,kind\nx,1,1.0,time\nx,two,0.5,time\n"
         with pytest.raises(DataFormatError, match="line 3.*integer"):
             parse_measurements(text)
+
+    @pytest.mark.parametrize("k", [10**400, sys.maxsize + 1])
+    def test_k_past_index_range_reports_line(self, k):
+        text = f"label,k,value,kind\nx,1,1.0,speedup\nx,{k},0.5,speedup\n"
+        with pytest.raises(DataFormatError) as info:
+            parse_measurements(text)
+        assert str(info.value) == f"line 3: k must be an integer >= 1, got {k}"
 
     def test_bad_value_reports_line(self):
         text = "label,k,value,kind\nx,2,abc,speedup\n"
@@ -264,9 +272,11 @@ class TestParseJson:
         ({"label": "a", "kind": "speedup", "baseline_k": 1.5, "points": []},
          "series[0]: baseline_k must be an integer"),
         ({"label": "a", "kind": "speedup", "points": [{"k": 0, "value": 1.0}]},
-         "series[0]: 'a': k must be an integer >= 1, got 0"),
+         "series[0].points[0]: k must be an integer >= 1, got 0"),
+        ({"label": "a", "kind": "speedup", "points": [{"k": 1, "value": 1.0}, {"k": 1, "value": 2.0}]},
+         "series[0]: 'a': duplicate k values [1]"),
     ], ids=["entry-not-object", "unknown-kind", "points-not-list", "point-not-object",
-            "baseline-not-integer", "series-error-wrapped"])
+            "baseline-not-integer", "k-below-one", "series-error-wrapped"])
     def test_entry_errors(self, entry, message):
         with pytest.raises(DataFormatError) as info:
             parse_measurements(json.dumps({"series": [entry]}), format="json")
@@ -449,6 +459,16 @@ class TestFixtures:
         with pytest.raises(ValueError, match="^'x': published k must be >= 1, got 0$"):
             Fixture("f", "d", (s,), {"x": ((0, 0.01),)}, verifiable=True)
 
+    @pytest.mark.parametrize("k, shown", [(2.7, "2.7"), ("3", "'3'"), (True, "True")])
+    def test_published_k_must_be_a_count(self, k, shown):
+        with pytest.raises(ValueError) as info:
+            Fixture("f", "d", (), {"x": ((k, 0.01),)}, verifiable=False)
+        assert str(info.value) == f"'x': published k must be >= 1, got {shown}"
+
+    def test_published_int_value_reads_as_float(self):
+        pairs = dict(load_fixture("audio_radar").published_serial_fraction["Audio stream 2"])
+        assert pairs[2] == 0.0 and type(pairs[2]) is float
+
 
 # --------------------------------------------------------------- scenarios
 
@@ -493,8 +513,10 @@ class TestScenarios:
             parse_scenario("{}")
         with pytest.raises(DataFormatError, match="unknown kind 'X'"):
             parse_scenario('{"segments": [{"kind": "X", "duration": 1}]}')
-        with pytest.raises(DataFormatError, match="duration must be a number"):
-            parse_scenario('{"segments": [{"kind": "S", "duration": "long"}]}')
+        for duration in ('"long"', '"1.5"', "true", "null", "[1]"):
+            with pytest.raises(DataFormatError) as info:
+                parse_scenario(f'{{"segments": [{{"kind": "S", "duration": {duration}}}]}}')
+            assert str(info.value) == "segments[0]: duration must be a number"
         with pytest.raises(DataFormatError, match=">= 0"):
             parse_scenario('{"segments": [{"kind": "S", "duration": -1}]}')
         with pytest.raises(DataFormatError, match="positive"):

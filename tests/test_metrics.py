@@ -5,6 +5,7 @@ Expected values are frozen from independent hand/rational arithmetic
 """
 
 import copy
+import json
 import math
 import pickle
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaeff import metrics
+from alphaeff import dataio, harness, metrics, timeline
 from alphaeff.metrics import (
     NORMAL,
     SLOWDOWN,
@@ -519,3 +520,74 @@ def test_regime_matches_definition(k, s):
         assert a.regime == SUPERLINEAR
     else:
         assert a.regime == NORMAL
+
+
+# ------------------------------------------------------ the one count rule
+
+def test_count_rule_edges():
+    accepted = [1, 2, sys.maxsize]
+    rejected = [0, -1, sys.maxsize + 1, 10**400, True, False, 1.0, "1", None]
+    assert all(metrics._is_count(v) for v in accepted)
+    assert not any(metrics._is_count(v) for v in rejected)
+
+
+def _rejects(make, value) -> bool:
+    try:
+        make(value)
+    except ValueError:
+        return True
+    return False
+
+
+def _csv_doc(k) -> str:
+    return f"label,k,value,kind\na,{k},1.0,speedup\n"
+
+
+def _json_doc(k) -> str:
+    return json.dumps({"series": [{"label": "a", "kind": "speedup",
+                                   "points": [{"k": k, "value": 1.0}]}]})
+
+
+# Every site that takes a processor count, as a function of that count.
+_COUNT_SITES = {
+    "MetricRow": lambda k: MetricRow(k, 2.0),
+    "MeasurementSeries": lambda k: dataio.MeasurementSeries("a", ((k, 1.0),), dataio.ValueKind.SPEEDUP),
+    "json reader": lambda k: dataio.parse_measurements(_json_doc(k), "json"),
+    "SyntheticWorkload.k_list": lambda k: harness.SyntheticWorkload(0.5, 1, k_list=(k,)),
+    "Fixture published k": lambda k: dataio.Fixture("f", "d", (), {"x": ((k, 0.01),)}, False),
+}
+
+# Ints around each edge of the rule and past the float range, plus
+# non-ints.  Nothing from 65 to 2**60: simulate would really allocate
+# that many loads.
+count_candidates = st.one_of(
+    st.integers(-3, 64),
+    st.integers(sys.maxsize - 64, sys.maxsize + 64),
+    st.integers(2**1024, 10**400),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=count_candidates, policy=st.sampled_from([timeline.ROUND_ROBIN, timeline.LPT]))
+def test_every_count_site_applies_the_one_rule(value, policy):
+    is_count = metrics._is_count(value)
+    for site, make in _COUNT_SITES.items():
+        assert _rejects(make, value) is not is_count, site
+    if not isinstance(value, str):  # CSV fields are text: "1" is a count there
+        assert _rejects(lambda k: dataio.parse_measurements(_csv_doc(k)), value) is not is_count
+
+    tl = timeline.Timeline([timeline.parallel_chunk(1.0)])
+    if not is_count:
+        with pytest.raises(ValueError):
+            timeline.simulate(tl, value, policy)
+    elif value <= 64:
+        assert timeline.simulate(tl, value, policy).k == value
+    else:  # k loads cannot exist; CPython says so without allocating
+        with pytest.raises(MemoryError):
+            timeline.simulate(tl, value, policy)
+
+    surface_ok = is_count and value >= 2
+    assert _rejects(lambda k: timeline.surface(0.0, 0.0, k, 0.25), value) is not surface_ok

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +22,7 @@ from alphaeff.timeline import (
     Segment,
     SegmentKind,
     Timeline,
+    _assign,
     _linspace,
     control,
     parallel_chunk,
@@ -84,8 +86,17 @@ class TestSegments:
             parallel_chunk(math.nan)
 
     def test_int_past_float_range_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^duration must be a number$"):
             Segment(SegmentKind.SEQUENTIAL, 10**400)
+
+    @pytest.mark.parametrize("duration", ["1.5", True, None])
+    def test_non_number_rejected(self, duration):
+        with pytest.raises(ValueError, match="^duration must be a number$"):
+            Segment(SegmentKind.SEQUENTIAL, duration)
+
+    def test_stored_as_float(self):
+        assert Segment(SegmentKind.SEQUENTIAL, 2).duration == 2.0
+        assert type(Segment(SegmentKind.SEQUENTIAL, 2).duration) is float
 
     def test_kind_must_be_enum(self):
         with pytest.raises(ValueError):
@@ -214,6 +225,12 @@ class TestPolicies:
     def test_lpt_ties_keep_timeline_order_and_lowest_worker(self):
         r = simulate(chunks_timeline([2, 2, 2]), 2, LPT)
         assert r.assignment == (0, 1, 0)
+
+    def test_lpt_heap_needs_no_worker_past_the_chunk_count(self):
+        # Loads are >= 0 and ties go to the lower index, so workers past
+        # the n-th are never picked and a k of sys.maxsize costs no more.
+        chunks = (3.0, 1.0, 2.0, 2.0)
+        assert _assign(chunks, sys.maxsize, LPT) == _assign(chunks, 4, LPT) == [0, 3, 1, 2]
 
     def test_round_robin_can_beat_lpt(self):
         # Greedy LPT is not universally at least as good as dealing
