@@ -25,6 +25,7 @@ import io
 import json
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -315,12 +316,23 @@ def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
     return series
 
 
+def _load_json(source, what: str):
+    """The JSON document ``source``; one it cannot read is an ``invalid {what}`` error."""
+    text = _as_text(source)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"invalid {what}: {exc}")
+    except ValueError:
+        # json.loads's only other error: an integer past CPython's digit limit.
+        raise DataFormatError(
+            f"invalid {what}: integer longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _json_list(source, key: str, what: str) -> list:
     """The ``key`` list of the JSON object document ``source``."""
-    try:
-        doc = json.loads(_as_text(source))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON: {exc}")
+    doc = _load_json(source, "JSON")
     if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
         raise DataFormatError(f'{what} must be an object with a "{key}" list')
     return doc[key]

@@ -27,14 +27,13 @@ placement to the operating system.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
 import time
 from dataclasses import dataclass, replace
 
-from .dataio import MeasurementSeries, ValueKind, _as_text
+from .dataio import MeasurementSeries, ValueKind, _load_json
 from .metrics import _is_count, _is_number
 
 __all__ = [
@@ -271,10 +270,7 @@ def workload_from_spec(source) -> SyntheticWorkload:
     converted to spin units by calibrating on this host.
     """
     if hasattr(source, "read") or isinstance(source, (str, bytes)):
-        try:
-            doc = json.loads(_as_text(source))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid workload JSON: {exc}")
+        doc = _load_json(source, "workload JSON")
     else:
         doc = source
     if not isinstance(doc, dict):

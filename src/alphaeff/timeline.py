@@ -23,7 +23,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
@@ -270,8 +269,7 @@ def surface(
     seq_time = metrics._check_finite("seq_time", seq_time)
     overhead_fraction = metrics._check_finite("overhead_fraction", overhead_fraction)
     chunk_time = metrics._check_finite("chunk_time", chunk_time)
-    # Inline, not metrics._is_count: sweep_surface runs this once per cell.
-    if not (isinstance(k, int) and 2 <= k <= sys.maxsize):
+    if not (metrics._is_count(k) and k >= 2):
         raise ValueError(f"surface needs integer k >= 2, got {k!r}")
     if seq_time < 0.0:
         raise ValueError(f"seq_time must be >= 0, got {seq_time}")
@@ -279,10 +277,24 @@ def surface(
         raise ValueError(f"overhead_fraction must be >= 0, got {overhead_fraction}")
     if chunk_time <= 0.0:
         raise ValueError(f"chunk_time must be positive, got {chunk_time}")
+    return _surface_alpha(seq_time, overhead_fraction, k, chunk_time)
 
+
+def _surface_alpha(
+    seq_time: float, overhead_fraction: float, k: int, chunk_time: float
+) -> metrics.EffectiveParallelization:
+    """``surface``'s closed form, on inputs ``surface`` has already checked."""
     t_serial = seq_time + k * chunk_time
     t_total = seq_time + chunk_time * (1.0 + overhead_fraction)
-    return metrics.alpha_eff(t_serial / t_total, k)
+    # On checked inputs the speedup is finite and positive unless t_serial
+    # or t_total passed the float range, the one case alpha_eff rejects.
+    try:
+        return metrics.alpha_eff(t_serial / t_total, k)
+    except ValueError:
+        raise ValueError(
+            f"surface times pass the float range at seq_time={seq_time!r}, "
+            f"overhead_fraction={overhead_fraction!r}"
+        ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,8 +334,9 @@ def sweep_surface(
     """Evaluate ``surface`` on an evenly spaced steps x steps grid.
 
     Both ranges are inclusive (lo, hi) and must be finite and
-    non-degenerate (hi > lo); ``steps`` must be at least 2.  Grid cells are exactly the
-    corresponding pointwise ``surface`` calls.
+    non-degenerate (hi > lo); ``steps`` must be at least 2.  The other
+    inputs are checked once, by ``surface`` at the grid's first cell, and
+    every cell is still exactly the corresponding pointwise ``surface`` call.
     """
     seq_lo, seq_hi = (float(v) for v in seq_range)
     ov_lo, ov_hi = (float(v) for v in overhead_range)
@@ -338,13 +351,20 @@ def sweep_surface(
 
     seq_values = _linspace(seq_lo, seq_hi, steps)
     overhead_values = _linspace(ov_lo, ov_hi, steps)
+    # The one input check: k and chunk_time are the same in every cell, and
+    # each axis value lies between its first one and its finite hi, so once
+    # the first cell passes no later cell can fail a check.  Only the closed
+    # form's own overflow error is left, so a grid still raises the error of
+    # its first failing cell.
+    surface(seq_values[0], overhead_values[0], k, chunk_time)
+    chunk_time = float(chunk_time)
     alpha = tuple(
-        tuple(float(surface(seq, ov, k, chunk_time)) for ov in overhead_values)
+        tuple(float(_surface_alpha(seq, ov, k, chunk_time)) for ov in overhead_values)
         for seq in seq_values
     )
     return SurfaceGrid(
         k=k,
-        chunk_time=float(chunk_time),
+        chunk_time=chunk_time,
         seq_values=seq_values,
         overhead_values=overhead_values,
         alpha=alpha,

@@ -198,6 +198,13 @@ class TestAnalyze:
         rc, out, err = run_cli(capsys, "analyze", "-")
         assert (rc, out, err) == (2, "", message)
 
+    def test_json_int_past_digit_limit_is_data_error(self, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        doc = '{"series": [{"label": "a", "kind": "speedup", "points": [{"k": %s, "value": 1.0}]}]}'
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc % ("9" * (limit + 700))))
+        rc, out, err = run_cli(capsys, "analyze", "-")
+        assert (rc, out, err) == (2, "", f"error: invalid JSON: integer longer than {limit} digits\n")
+
     def test_fit_residual_past_float_range_reads_inf(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("label,k,value,kind\na,1,1.0,speedup\n"
@@ -299,6 +306,13 @@ class TestSimulate:
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
         rc, out, err = run_cli(capsys, "simulate", "-", "--k", "2")
         assert (rc, out, err) == (2, "", "error: segments[0]: duration must be a number\n")
+
+    def test_json_int_duration_past_digit_limit_is_data_error(self, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        doc = '{"segments": [{"kind": "S", "duration": %s}, {"kind": "P", "duration": 1}]}'
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc % ("9" * (limit + 700))))
+        rc, out, err = run_cli(capsys, "simulate", "-", "--k", "2")
+        assert (rc, out, err) == (2, "", f"error: invalid JSON: integer longer than {limit} digits\n")
 
     @pytest.mark.parametrize("policy", ["round-robin", "lpt"])
     def test_k_past_index_range_is_data_error(self, capsys, policy):
@@ -408,6 +422,18 @@ class TestSurface:
         rc, out, err = run_cli(capsys, "surface", flag, str(big))
         assert (rc, out, err) == (2, "", f"error: {message.format(big)}\n")
 
+    @pytest.mark.parametrize("argv, cell", [
+        (("--k", "3", "--chunk", "1e308", "--steps", "2"), "seq_time=0.0, overhead_fraction=0.0"),
+        (("--overhead-range", "0:1e308", "--chunk", "10"),
+         "seq_time=0.0, overhead_fraction=2e+307"),
+        (("--overhead-range", "1e308:1.7e308", "--chunk", "1e308", "--steps", "2"),
+         "seq_time=0.0, overhead_fraction=1e+308"),
+    ], ids=["serial-inf", "total-inf", "both-inf"])
+    def test_times_past_float_range_name_the_cell(self, capsys, argv, cell):
+        rc, out, err = run_cli(capsys, "surface", *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: surface times pass the float range at {cell}\n"
+
 
 # ------------------------------------------------------------------- bench
 
@@ -501,6 +527,14 @@ class TestBench:
         monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
         rc, out, err = run_cli(capsys, "bench", "--spec", "-")
         assert (rc, out, err) == (2, "", "error: total_ms must be a number\n")
+
+    def test_spec_int_past_digit_limit_is_data_error(self, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        spec = '{"alpha": 0.5, "total_ms": %s}' % ("9" * (limit + 700))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        rc, out, err = run_cli(capsys, "bench", "--spec", "-")
+        assert (rc, out, err) == (
+            2, "", f"error: invalid workload JSON: integer longer than {limit} digits\n")
 
     def test_bad_spec_keys(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

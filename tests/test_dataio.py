@@ -235,6 +235,18 @@ class TestParseJson:
         with pytest.raises(DataFormatError, match="invalid JSON"):
             parse_measurements("{", format="json")
 
+    def test_int_past_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        doc = '{"series": [{"label": "a", "kind": "speedup", "points": [{"k": %s, "value": 1.0}]}]}'
+        with pytest.raises(DataFormatError) as info:
+            parse_measurements(doc % ("9" * (limit + 1)), format="json")
+        assert str(info.value) == f"invalid JSON: integer longer than {limit} digits"
+
+    def test_non_text_source_rejected(self):
+        with pytest.raises(TypeError) as info:
+            parse_measurements(42, format="json")
+        assert str(info.value) == "expected text, bytes or a readable object, got int"
+
     def test_wrong_shape(self):
         with pytest.raises(DataFormatError, match="series"):
             parse_measurements("[]", format="json")
@@ -317,6 +329,11 @@ class TestMeasurementSeries:
             MeasurementSeries("x", ((2, 1.0), (2, 1.1)), ValueKind.SPEEDUP)
         with pytest.raises(ValueError, match="baseline"):
             MeasurementSeries("x", ((2, 5.0),), ValueKind.WALL_TIME)
+
+    def test_value_kind_must_be_a_value_kind(self):
+        with pytest.raises(ValueError) as info:
+            MeasurementSeries("x", ((1, 1.0),), "speedup")
+        assert str(info.value) == "value_kind must be a ValueKind, got 'speedup'"
 
     def test_bool_is_not_a_count(self):
         with pytest.raises(ValueError, match="k must be an integer"):
@@ -635,6 +652,12 @@ class TestEmitReports:
         assert emit_report(report, format="json") == emit_report(
             report, format="json")
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_single_report_reads_as_a_list_of_one(self, fmt):
+        report = self.realistic_report()
+        assert emit_reports(report, fmt, include_fit=True) == emit_reports(
+            [report], fmt, include_fit=True)
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report(self.realistic_report(), format="xml")
@@ -646,6 +669,10 @@ class TestEmitPlotData:
     @staticmethod
     def reports_for(fixture_id):
         return [analyze(s) for s in load_fixture(fixture_id).series]
+
+    def test_single_report_reads_as_a_list_of_one(self):
+        report = self.reports_for("linpack_architectures")[0]
+        assert emit_plot_data(report) == emit_plot_data([report])
 
     def test_linpack_serial_fraction_blocks(self):
         reports = self.reports_for("linpack_architectures")

@@ -55,6 +55,11 @@ class TestSpeedup:
         with pytest.raises(ValueError):
             speedup(t1, tk)
 
+    def test_int_past_float_range_reads_as_infinite(self):
+        with pytest.raises(ValueError) as info:
+            speedup(-10**400, 1.0)
+        assert str(info.value) == "t_serial must be finite, got -inf"
+
 
 # ------------------------------------------------------------- efficiency
 
@@ -110,6 +115,11 @@ class TestAlphaEff:
     def test_k_one_rejected(self):
         with pytest.raises(ValueError):
             alpha_eff(1.0, 1)
+
+    def test_k_past_float_range_rejected(self):
+        with pytest.raises(ValueError) as info:
+            alpha_eff(2.0, 10**400)
+        assert str(info.value) == "k must be finite, got inf"
 
     def test_nonpositive_speedup_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import struct
 import sys
 
 import pytest
@@ -313,6 +314,21 @@ class TestSurface:
         with pytest.raises(ValueError):
             surface(0.0, 0.0, 3, 0.0)
 
+    @pytest.mark.parametrize("args, cell", [
+        ((0.0, 0.0, 3, 1e308), "seq_time=0.0, overhead_fraction=0.0"),
+        ((0.0, 2e307, 3, 10.0), "seq_time=0.0, overhead_fraction=2e+307"),
+        ((1.5, 1e308, 3, 1e308), "seq_time=1.5, overhead_fraction=1e+308"),
+    ], ids=["serial-inf", "total-inf", "both-inf"])
+    def test_times_past_float_range_name_the_cell(self, args, cell):
+        with pytest.raises(ValueError) as info:
+            surface(*args)
+        assert str(info.value) == f"surface times pass the float range at {cell}"
+
+    def test_chunk_time_past_float_range(self):
+        with pytest.raises(ValueError) as info:
+            surface(0.0, 0.0, 3, 10**400)
+        assert str(info.value) == "chunk_time must be finite, got inf"
+
     def test_matches_equivalent_timeline_exactly(self):
         tl = Timeline([
             sequential(0.6),
@@ -364,6 +380,73 @@ class TestSweepSurface:
         with pytest.raises(ValueError) as info:
             sweep_surface(seq_range, overhead_range, 3, 3, 0.25)
         assert str(info.value) == message
+
+    def test_overflowing_cell_is_named(self):
+        with pytest.raises(ValueError) as info:
+            sweep_surface((0.0, 1.0), (0.0, 1e308), 11, 3, 10.0)
+        assert str(info.value) == (
+            "surface times pass the float range at seq_time=0.0, overhead_fraction=2e+307"
+        )
+
+    def test_chunk_time_past_float_range(self):
+        with pytest.raises(ValueError) as info:
+            sweep_surface((0.0, 0.8), (0.0, 0.6), 3, 3, 10**400)
+        assert str(info.value) == "chunk_time must be finite, got inf"
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _first_pointwise_error(seq_values, overhead_values, k, chunk_time):
+    for seq in seq_values:
+        for ov in overhead_values:
+            try:
+                surface(seq, ov, k, chunk_time)
+            except ValueError as exc:
+                return type(exc), str(exc)
+    return None
+
+
+surface_bounds = st.one_of(
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, sys.float_info.min, 1.7e308, sys.float_info.max, -1.0]),
+)
+surface_ranges = st.tuples(surface_bounds, surface_bounds).filter(lambda r: r[1] > r[0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(seq_range=surface_ranges, overhead_range=surface_ranges,
+       steps=st.integers(min_value=2, max_value=8),
+       k=st.one_of(st.integers(min_value=2, max_value=64),
+                   st.integers(min_value=2, max_value=sys.maxsize),
+                   st.sampled_from([1, 0, -3, True, 2.0, "3", None, sys.maxsize + 1, 10**400])),
+       chunk_time=st.one_of(st.floats(min_value=0.0, max_value=10.0), st.floats(),
+                            st.integers(min_value=-10, max_value=10**6),
+                            st.integers(min_value=2**1024, max_value=10**400)))
+def test_grid_is_pointwise_surface_in_bits_and_errors(seq_range, overhead_range, steps, k,
+                                                       chunk_time):
+    # The grid checks its inputs once; each cell must still be exactly the
+    # pointwise call, and a failing grid must fail like its first failing cell.
+    seq_values = _linspace(*seq_range, steps)
+    overhead_values = _linspace(*overhead_range, steps)
+    expected_error = _first_pointwise_error(seq_values, overhead_values, k, chunk_time)
+    try:
+        grid = sweep_surface(seq_range, overhead_range, steps, k, chunk_time)
+    except ValueError as exc:
+        assert (type(exc), str(exc)) == expected_error
+        return
+    assert expected_error is None
+    assert grid.k is k
+    assert _bits(grid.chunk_time) == _bits(float(chunk_time))
+    assert list(map(_bits, grid.seq_values)) == list(map(_bits, seq_values))
+    assert list(map(_bits, grid.overhead_values)) == list(map(_bits, overhead_values))
+    for seq, row in zip(seq_values, grid.alpha):
+        assert [_bits(a) for a in row] == [
+            _bits(float(surface(seq, ov, k, chunk_time))) for ov in overhead_values
+        ]
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
