@@ -249,9 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3, help="worker count (default: 3)")
     p.add_argument("--chunk", type=float, default=0.25, help="chunk duration (default: 0.25)")
     p.add_argument("--seq-range", default="0:0.8",
-                   help="sequential-time range LO:HI (default: 0:0.8)")
+                   help="sequential-time range LO:HI (default: 0:0.8); write a low end "
+                        "starting with '-' as --seq-range=LO:HI")
     p.add_argument("--overhead-range", default="0:0.6",
-                   help="overhead-fraction range LO:HI (default: 0:0.6)")
+                   help="overhead-fraction range LO:HI (default: 0:0.6); write a low end "
+                        "starting with '-' as --overhead-range=LO:HI")
     p.add_argument("--steps", type=int, default=11, help="samples per axis (default: 11)")
     p.add_argument("--format", choices=["plot", "json"], default="plot")
     p.add_argument("--output", help="write to this path instead of stdout")

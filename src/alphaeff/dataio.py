@@ -187,16 +187,86 @@ def _as_text(source) -> str:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
+        try:
+            return source.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            # exc.object is the input after any BOM, and exc.start indexes it.
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise DataFormatError(
+                f"line {line}: input is not UTF-8 (byte {exc.object[exc.start]:#04x})"
+            ) from None
     if isinstance(source, str):
         return source.lstrip("﻿")
     raise TypeError(f"expected text, bytes or a readable object, got {type(source).__name__}")
 
 
+_ENCODERS: dict = {}  # depth -> its encoder; see _encoder
+
+
+def _encoder(depth: int):
+    """The cached encoder for ``depth``: ``encode(doc, 0)`` returns the chunks of ``doc``.
+
+    Its item separator carries the newline and the indent, so one call lays
+    out a whole container of scalars one level deeper than its brackets.
+    The 0 is the C encoder's indent level, unused without an indent, and
+    a false ``_one_shot`` for the fallback's ``JSONEncoder.iterencode``.
+    """
+    encode = _ENCODERS.get(depth)
+    if encode is None:
+        separator = ",\n" + "  " * depth
+        if json.encoder.c_make_encoder is None:
+            encode = json.JSONEncoder(
+                separators=(separator, ": "), sort_keys=True, allow_nan=False
+            ).iterencode
+        else:
+            # No markers: every container this encoder sees holds only
+            # scalars, so no cycle can pass through it.
+            encode = json.encoder.c_make_encoder(
+                None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+                None, ": ", separator, True, False, False,
+            )
+        _ENCODERS[depth] = encode
+    return encode
+
+
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
+def _json_layout(doc, depth: int) -> str:
+    """``doc`` as ``json.dumps(indent=2, sort_keys=True)`` writes it ``depth`` levels in.
+
+    Dict keys are str, as in every document this package writes.
+    """
+    if isinstance(doc, dict):
+        brackets, items = "{}", doc.values()
+    elif isinstance(doc, (list, tuple)):
+        brackets, items = "[]", doc
+    else:
+        return "".join(_encoder(depth)(doc, 0))
+    if not doc:
+        return brackets
+    newline = "\n" + "  " * (depth + 1)
+    if all(isinstance(item, _SCALARS) for item in items):
+        body = "".join(_encoder(depth + 1)(doc, 0))[1:-1]
+    elif brackets == "{}":
+        key = json.encoder.encode_basestring_ascii
+        body = ("," + newline).join(
+            key(k) + ": " + _json_layout(v, depth + 1) for k, v in sorted(doc.items())
+        )
+    else:
+        body = ("," + newline).join(_json_layout(v, depth + 1) for v in doc)
+    return brackets[0] + newline + body + "\n" + "  " * depth + brackets[1]
+
+
 def _json_text(doc) -> str:
-    """The one JSON layout every document this package writes uses: strict RFC 8259."""
+    """The one JSON layout every document this package writes uses: strict RFC 8259.
+
+    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False)`` plus a newline, written through one cached encoder
+    per depth (see :func:`_json_layout`).
+    """
     try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json_layout(doc, 0) + "\n"
     except ValueError:
         raise DataFormatError(
             "JSON cannot carry the non-finite number (inf or nan) in this output; "
@@ -318,10 +388,9 @@ def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
 
 def _load_json(source, what: str):
     """The JSON document ``source``; one it cannot read is an ``invalid {what}`` error."""
-    text = _as_text(source)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(_as_text(source))
+    except (json.JSONDecodeError, DataFormatError) as exc:
         raise DataFormatError(f"invalid {what}: {exc}")
     except ValueError:
         # json.loads's only other error: an integer past CPython's digit limit.

@@ -171,6 +171,12 @@ class TestAnalyze:
         assert rc == 2
         assert "line 3" in err
 
+    def test_file_not_utf8_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"label,k,value,kind\nx,1,1.0,time\n\xffx,2,0.6,time\n")
+        rc, out, err = run_cli(capsys, "analyze", str(path))
+        assert (rc, out, err) == (2, "", "error: line 3: input is not UTF-8 (byte 0xff)\n")
+
     def test_empty_input_warns_but_succeeds(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("label,k,value,kind\n")
@@ -293,6 +299,13 @@ class TestSimulate:
         assert rc == 0
         assert out2 == out
 
+    def test_file_not_utf8_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"segments": [\n{"kind": "P", "duration": 1},\n\xff]}\n')
+        rc, out, err = run_cli(capsys, "simulate", str(path), "--k", "2")
+        assert (rc, out) == (2, "")
+        assert err == "error: invalid JSON: line 3: input is not UTF-8 (byte 0xff)\n"
+
     def test_durations_past_float_range_are_data_error(self, capsys, monkeypatch):
         doc = {"segments": [{"kind": "S", "duration": 1e308}, {"kind": "S", "duration": 1e308},
                             {"kind": "P", "duration": 1}]}
@@ -409,6 +422,23 @@ class TestSurface:
         assert (rc, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    def test_negative_low_end_after_equals_sign(self, capsys):
+        rc, out, err = run_cli(capsys, "surface", "--seq-range=-0.0:1", "--steps", "2")
+        assert (rc, err) == (0, "")
+        assert out.startswith("# series: seq=0\n")
+
+    def test_negative_low_end_after_space_is_usage_error(self, capsys):
+        # argparse reads "-0.0:1" as an option; the help names the = form.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["surface", "--seq-range", "-0.0:1", "--steps", "2"])
+        assert exc_info.value.code == 2
+        assert "--seq-range: expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["surface", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--seq-range=LO:HI" in help_text
+        assert "--overhead-range=LO:HI" in help_text
+
     def test_too_few_steps_rejected(self, capsys):
         rc, _, err = run_cli(capsys, "surface", "--steps", "1")
         assert rc == 2
@@ -463,6 +493,13 @@ class TestBench:
         rc, out, _ = run_cli(capsys, "bench", "--spec", str(path))
         assert rc == 0
         assert "synthetic-a0.5-o0" in out
+
+    def test_spec_not_utf8_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'\xef\xbb\xbf{"alpha": 0.5,\n"total_ms": 20,\n\xff}\n')
+        rc, out, err = run_cli(capsys, "bench", "--spec", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "error: invalid workload JSON: line 3: input is not UTF-8 (byte 0xff)\n"
 
     def test_alpha_required_without_spec(self, capsys):
         rc, _, err = run_cli(capsys, "bench")
@@ -733,6 +770,34 @@ class TestPinnedCliBytes:
 
     def test_every_invocation_is_pinned(self):
         assert set(_PINNED_INVOCATIONS) == set(_PINNED_CLI_DIGESTS)
+
+
+_JSON_INVOCATIONS = {
+    **{name: case for name, case in _PINNED_INVOCATIONS.items() if name.endswith("-json")},
+    "analyze-json": (["analyze", "fixtures://audio_radar", "--format", "json"], None),
+    "fixtures-list-json": (["fixtures", "list", "--format", "json"], None),
+    "fixtures-export-published-json":
+        (["fixtures", "export", "soc_rosenbrock", "--format", "json"], None),
+}
+
+
+class TestJsonWithoutCEncoder:
+    """The JSON writer's fallback, for an interpreter built without ``_json``."""
+
+    @pytest.mark.parametrize("name", sorted(_JSON_INVOCATIONS))
+    def test_same_bytes(self, capsys, monkeypatch, name):
+        argv, stdin = _JSON_INVOCATIONS[name]
+
+        def output():
+            if stdin is not None:
+                monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            return run_cli(capsys, *argv)
+
+        with_c = output()
+        assert with_c[0] == 0
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(dataio, "_ENCODERS", {})
+        assert output() == with_c
 
 
 # ------------------------------------------------------------------ plumbing

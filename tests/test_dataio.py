@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaeff import metrics
+from alphaeff import dataio, metrics
 from alphaeff.dataio import (
     FIXTURE_IDS,
     SCENARIO_IDS,
@@ -64,6 +64,15 @@ class TestParseCsv:
     def test_utf8_bom_tolerated(self):
         series = parse_measurements(CSV_SMOKE.encode("utf-8-sig"))
         assert series[0].label == "solver"
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("line", [1, 2, 4])
+    def test_bytes_not_utf8_name_their_line(self, bom, line):
+        lines = CSV_SMOKE.encode().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        with pytest.raises(DataFormatError) as info:
+            parse_measurements(bom + b"".join(lines))
+        assert str(info.value) == f"line {line}: input is not UTF-8 (byte 0xff)"
 
     def test_extra_columns_ignored(self):
         text = "label,k,value,kind,host,notes\nrun,2,1.8,speedup,nodeA,warm\n"
@@ -786,18 +795,113 @@ _PINNED_REPORT_DIGESTS = {
 }
 
 
+def _assert_report_digest(source):
+    if source in FIXTURE_IDS:
+        series_list = load_fixture(source).series
+    else:
+        series_list = _edge_series()[source]
+    assert hashlib.sha256(_report_bytes(series_list)).hexdigest() == _PINNED_REPORT_DIGESTS[source]
+
+
 class TestPinnedReportBytes:
     @pytest.mark.parametrize("source", sorted(_PINNED_REPORT_DIGESTS))
     def test_report_bytes_unchanged(self, source):
-        if source in FIXTURE_IDS:
-            series_list = load_fixture(source).series
-        else:
-            series_list = _edge_series()[source]
-        assert hashlib.sha256(_report_bytes(series_list)).hexdigest() == _PINNED_REPORT_DIGESTS[source]
+        _assert_report_digest(source)
 
     def test_every_fixture_series_is_pinned(self):
         with_series = {f for f in FIXTURE_IDS if load_fixture(f).series}
         assert with_series <= set(_PINNED_REPORT_DIGESTS)
+
+
+class TestPinnedReportBytesWithoutCEncoder:
+    """The JSON writer's fallback, for an interpreter built without ``_json``."""
+
+    @pytest.fixture(autouse=True)
+    def no_c_encoder(self, monkeypatch):
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(dataio, "_ENCODERS", {})
+
+    @pytest.mark.parametrize("source", sorted(_PINNED_REPORT_DIGESTS))
+    def test_report_bytes_unchanged(self, source):
+        _assert_report_digest(source)
+
+    def test_measurement_json_unchanged(self):
+        series = load_fixture("audio_radar").series
+        text = emit_measurements(series, format="json")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        # Every cached encoder is a pure-Python JSONEncoder's.
+        assert dataio._ENCODERS and all(
+            isinstance(getattr(e, "__self__", None), json.JSONEncoder)
+            for e in dataio._ENCODERS.values())
+
+
+# ------------------------------------------------------------- JSON layout
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_SCALARS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2713\U0001f600", "\ud800", "a\nb"]),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**256),
+    st.integers(min_value=-(2**256), max_value=-(2**64)),
+    _FINITE,
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-309, 1e308, -1.7976931348623157e308]),
+    st.builds(metrics.EffectiveParallelization, _FINITE,
+              st.sampled_from([metrics.NORMAL, metrics.SLOWDOWN, metrics.SUPERLINEAR])),
+    st.booleans(),
+    st.none(),
+)
+# Empty containers are leaves too, so they turn up at every depth and as
+# the whole document.
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | st.sampled_from([{}, [], ()]),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+_NON_FINITE_MESSAGE = (
+    "JSON cannot carry the non-finite number (inf or nan) in this output; "
+    "--format table or csv shows it"
+)
+
+
+class TestJsonText:
+    @settings(max_examples=500, deadline=None)
+    @given(doc=_JSON_DOCS)
+    def test_is_json_dumps_byte_for_byte(self, doc):
+        expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert dataio._json_text(doc) == expected
+
+    @pytest.mark.parametrize("doc", [
+        float("nan"),
+        [1.0, float("inf")],
+        {"a": {"b": [float("-inf")]}},
+        {"reports": [{"rows": [{"alpha_eff": float("nan")}]}]},
+        [[], {"x": (1, metrics.EffectiveParallelization(float("inf")))}],
+    ], ids=["bare", "flat", "nested", "report-row", "tuple"])
+    def test_non_finite_is_data_error(self, doc):
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(DataFormatError) as info:
+            dataio._json_text(doc)
+        assert str(info.value) == _NON_FINITE_MESSAGE
+
+    @pytest.mark.parametrize("doc", [
+        object(),
+        [1, {2, 3}],
+        {"a": {"b": [b"bytes"]}},
+        {"a": [[], (1, 1j)]},
+    ], ids=["bare", "flat", "nested", "tuple"])
+    def test_non_json_object_is_type_error(self, doc):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(TypeError) as info:
+            dataio._json_text(doc)
+        assert str(info.value) == str(expected.value)
 
 
 # --------------------------------------- emit_published_serial_fractions

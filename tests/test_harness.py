@@ -12,7 +12,7 @@ import signal
 import pytest
 
 from alphaeff import harness, metrics
-from alphaeff.dataio import ValueKind, analyze
+from alphaeff.dataio import DataFormatError, ValueKind, analyze
 from alphaeff.harness import (
     AMDAHL_OVERHEAD_RANGE,
     SyntheticWorkload,
@@ -338,9 +338,11 @@ class TestWorkloadFromSpec:
         spec = '\ufeff{"alpha": 0.5, "total_ms": 20}'
         assert workload_from_spec(spec).alpha_target == 0.5
         assert workload_from_spec(spec.encode("utf-8")).alpha_target == 0.5
-        # Decoded as UTF-8, like every measurement and scenario input.
-        with pytest.raises(UnicodeDecodeError):
+        # Decoded as UTF-8, like every measurement and scenario input; the
+        # UTF-16 BOM's first byte is the one that fails.
+        with pytest.raises(DataFormatError) as info:
             workload_from_spec(spec.encode("utf-16"))
+        assert str(info.value) == "invalid workload JSON: line 1: input is not UTF-8 (byte 0xff)"
 
     def test_bad_json_rejected(self):
         with pytest.raises(ValueError, match="invalid workload JSON"):
