@@ -24,7 +24,8 @@ _FIXTURE_SCHEME = "fixtures://"
 
 def _read_input(path: str) -> bytes | str:
     if path == "-":
-        return sys.stdin.read()
+        # Bytes where stdin has them, so _as_text decodes stdin as it decodes a file.
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
     with open(path, "rb") as fh:
         return fh.read()
 

@@ -553,6 +553,9 @@ def load_fixture(fixture_id: str) -> Fixture:
     )
 
 
+_SEGMENT_KINDS = {kind.value: kind for kind in timeline.SegmentKind}
+
+
 def parse_scenario(source) -> timeline.Timeline:
     """Parse a timeline scenario: JSON {"segments": [{"kind", "duration"}]}.
 
@@ -564,8 +567,8 @@ def parse_scenario(source) -> timeline.Timeline:
         if not isinstance(entry, dict) or "kind" not in entry or "duration" not in entry:
             raise DataFormatError(f'{where}: must be an object with "kind" and "duration"')
         try:
-            kind = timeline.SegmentKind(entry["kind"])
-        except ValueError:
+            kind = _SEGMENT_KINDS[entry["kind"]]
+        except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a list
             raise DataFormatError(f"{where}: unknown kind {entry['kind']!r} (expected S, P or C)")
         try:
             segments.append(timeline.Segment(kind, entry["duration"]))

@@ -334,7 +334,8 @@ def sweep_surface(
     """Evaluate ``surface`` on an evenly spaced steps x steps grid.
 
     Both ranges are inclusive (lo, hi) and must be finite and
-    non-degenerate (hi > lo); ``steps`` must be at least 2.  The other
+    non-degenerate (hi > lo), with a width hi - lo that is finite too;
+    ``steps`` must be at least 2.  The other
     inputs are checked once, by ``surface`` at the grid's first cell, and
     every cell is still exactly the corresponding pointwise ``surface`` call.
     """
@@ -346,6 +347,8 @@ def sweep_surface(
             raise ValueError(f"{name} must be finite, got {(lo, hi)!r}")
         if not (hi > lo):
             raise ValueError(f"degenerate {name} {given!r}")
+        if hi - lo == math.inf:
+            raise ValueError(f"{name} {given!r} is wider than the float range")
     if not (metrics._is_count(steps) and steps >= 2):
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
 
@@ -358,14 +361,27 @@ def sweep_surface(
     # its first failing cell.
     surface(seq_values[0], overhead_values[0], k, chunk_time)
     chunk_time = float(chunk_time)
-    alpha = tuple(
-        tuple(float(_surface_alpha(seq, ov, k, chunk_time)) for ov in overhead_values)
-        for seq in seq_values
-    )
+    # Each cell inlines _surface_alpha's float operations, in its order, so it
+    # has the same bits.  A speedup that is not finite and positive, the one
+    # case alpha_eff rejects, goes through _surface_alpha to raise its error.
+    kf = float(k)
+    scale = kf / (kf - 1.0)
+    work = k * chunk_time
+    loads = [chunk_time * (1.0 + ov) for ov in overhead_values]
+    alpha = []
+    for seq in seq_values:
+        t_serial = seq + work
+        row = []
+        for ov, load in zip(overhead_values, loads):
+            s = t_serial / (seq + load)
+            if not 0.0 < s < math.inf:
+                _surface_alpha(seq, ov, k, chunk_time)
+            row.append(scale * (s - 1.0) / s)
+        alpha.append(tuple(row))
     return SurfaceGrid(
         k=k,
         chunk_time=chunk_time,
         seq_values=seq_values,
         overhead_values=overhead_values,
-        alpha=alpha,
+        alpha=tuple(alpha),
     )

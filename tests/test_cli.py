@@ -416,7 +416,10 @@ class TestSurface:
         (("--seq-range", "a:b"), "range bounds must be numbers, got 'a:b'"),
         (("--seq-range", "0:inf", "--steps", "3"), "seq_range must be finite, got (0.0, inf)"),
         (("--overhead-range", "0:nan"), "overhead_range must be finite, got (0.0, nan)"),
-    ], ids=["not-numbers", "seq-inf", "overhead-nan"])
+        (("--seq-range=-1e308:1e308",), "seq_range (-1e+308, 1e+308) is wider than the float range"),
+        (("--overhead-range=-1e308:1e308",),
+         "overhead_range (-1e+308, 1e+308) is wider than the float range"),
+    ], ids=["not-numbers", "seq-inf", "overhead-nan", "seq-too-wide", "overhead-too-wide"])
     def test_bad_bounds_rejected(self, capsys, argv, message):
         rc, out, err = run_cli(capsys, "surface", *argv)
         assert (rc, out) == (2, "")
@@ -827,6 +830,36 @@ class TestPlumbing:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == list(dataio.FIXTURE_IDS)
+
+    @staticmethod
+    def _run_module(argv, stdin=b""):
+        # UTF-8 mode decodes a text stdin with surrogateescape, which would
+        # let a 0xff byte through as "\udcff"; piped bytes must not go that way.
+        return subprocess.run([sys.executable, "-X", "utf8", "-m", "alphaeff", *argv],
+                              input=stdin, capture_output=True, timeout=60)
+
+    @pytest.mark.parametrize("argv, data", [
+        (["analyze", "{}", "--format", "json"],
+         b"label,k,value,kind\n\xffb,1,1.0,time\n\xffb,2,0.6,time\n"),
+        (["simulate", "{}", "--k", "2"], b'{"segments": [\n{"kind": "P", "duration": 1},\n\xff]}\n'),
+        (["bench", "--spec", "{}"], b'{"alpha": 0.5,\n"total_ms": 20,\n\xff}\n'),
+    ], ids=["analyze", "simulate", "bench-spec"])
+    def test_stdin_not_utf8_is_rejected_like_a_file(self, tmp_path, argv, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        from_file = self._run_module([a.format(path) for a in argv])
+        piped = self._run_module([a.format("-") for a in argv], data)
+        assert (piped.returncode, piped.stdout) == (from_file.returncode, from_file.stdout) == (2, b"")
+        assert piped.stderr == from_file.stderr
+        assert b"input is not UTF-8 (byte 0xff)" in piped.stderr
+
+    def test_stdin_with_utf8_bom_parses(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_text(CSV_SMOKE)
+        piped = self._run_module(["analyze", "-"], b"\xef\xbb\xbf" + CSV_SMOKE.encode())
+        from_file = self._run_module(["analyze", str(path)])
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert piped.stdout == from_file.stdout
 
     @pytest.mark.parametrize("argv, doc, message", [
         (["simulate", "-", "--k", "2"],

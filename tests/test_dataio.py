@@ -532,6 +532,17 @@ class TestScenarios:
             parse_scenario('{"segments": [{"kind": "S", "duration": 1.0}, 1]}')
         assert str(info.value) == 'segments[1]: must be an object with "kind" and "duration"'
 
+    @pytest.mark.parametrize("kind", ['"X"', '"s"', '"SP"', "1", "true", "null", "1.5", "[1]",
+                                      '{"S": 1}'])
+    def test_parse_scenario_unknown_kind(self, kind):
+        # Hashable or not, an unknown kind wins over a bad duration in its segment.
+        with pytest.raises(DataFormatError) as info:
+            parse_scenario(f'{{"segments": [{{"kind": "P", "duration": 1}}, '
+                           f'{{"kind": {kind}, "duration": -1}}]}}')
+        assert str(info.value) == (
+            f"segments[1]: unknown kind {json.loads(kind)!r} (expected S, P or C)"
+        )
+
     def test_parse_scenario_errors(self):
         with pytest.raises(DataFormatError, match="invalid JSON"):
             parse_scenario("{")

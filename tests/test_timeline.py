@@ -388,6 +388,34 @@ class TestSweepSurface:
             "surface times pass the float range at seq_time=0.0, overhead_fraction=2e+307"
         )
 
+    @pytest.mark.parametrize("chunk_time, k", [
+        (5e306, 3),  # t_serial alone overflows: the speedup is inf
+        (1e307, 2),  # both times overflow: the speedup is nan
+    ], ids=["serial-inf", "both-inf"])
+    def test_overflowing_cell_in_a_later_row_is_named(self, chunk_time, k):
+        # Rows 0 and 1 take the inlined closed form; row 2's first cell falls back.
+        with pytest.raises(ValueError) as info:
+            sweep_surface((0.0, 1.7e308), (0.0, 1.0), 3, k, chunk_time)
+        assert str(info.value) == (
+            "surface times pass the float range at seq_time=1.7e+308, overhead_fraction=0.0"
+        )
+
+    @pytest.mark.parametrize("seq_range, overhead_range, message", [
+        ((-1e308, 1e308), (0.0, 1.0), "seq_range (-1e+308, 1e+308) is wider than the float range"),
+        ((0.0, 1.0), (-1e308, sys.float_info.max),
+         "overhead_range (-1e+308, 1.7976931348623157e+308) is wider than the float range"),
+    ], ids=["seq", "overhead"])
+    def test_range_wider_than_float_range_is_named(self, seq_range, overhead_range, message):
+        with pytest.raises(ValueError) as info:
+            sweep_surface(seq_range, overhead_range, 3, 3, 0.25)
+        assert str(info.value) == message
+
+    def test_cells_are_plain_floats(self):
+        grid = sweep_surface((0.0, 2.0), (0.0, 1.0), 4, 8, 0.25)
+        assert type(grid.alpha) is tuple
+        assert all(type(row) is tuple for row in grid.alpha)
+        assert all(type(a) is float for row in grid.alpha for a in row)
+
     def test_chunk_time_past_float_range(self):
         with pytest.raises(ValueError) as info:
             sweep_surface((0.0, 0.8), (0.0, 0.6), 3, 3, 10**400)
@@ -398,7 +426,13 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
-def _first_pointwise_error(seq_values, overhead_values, k, chunk_time):
+def _first_pointwise_error(seq_range, overhead_range, seq_values, overhead_values, k,
+                           chunk_time):
+    # The grid's own range rule comes first: an axis whose width passes the
+    # float range has no pointwise cells to compare.
+    for name, (lo, hi) in (("seq_range", seq_range), ("overhead_range", overhead_range)):
+        if not math.isfinite(float(hi) - float(lo)):
+            return ValueError, f"{name} {(lo, hi)!r} is wider than the float range"
     for seq in seq_values:
         for ov in overhead_values:
             try:
@@ -432,7 +466,8 @@ def test_grid_is_pointwise_surface_in_bits_and_errors(seq_range, overhead_range,
     # pointwise call, and a failing grid must fail like its first failing cell.
     seq_values = _linspace(*seq_range, steps)
     overhead_values = _linspace(*overhead_range, steps)
-    expected_error = _first_pointwise_error(seq_values, overhead_values, k, chunk_time)
+    expected_error = _first_pointwise_error(seq_range, overhead_range, seq_values,
+                                            overhead_values, k, chunk_time)
     try:
         grid = sweep_surface(seq_range, overhead_range, steps, k, chunk_time)
     except ValueError as exc:
