@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 
 from . import dataio, harness, metrics, timeline
 
@@ -24,6 +25,8 @@ _FIXTURE_SCHEME = "fixtures://"
 
 def _read_input(path: str) -> bytes | str:
     if path == "-":
+        if sys.stdin is None:  # Python's stdin when file descriptor 0 is closed
+            raise OSError("standard input is closed")
         # Bytes where stdin has them, so _as_text decodes stdin as it decodes a file.
         return getattr(sys.stdin, "buffer", sys.stdin).read()
     with open(path, "rb") as fh:
@@ -159,7 +162,10 @@ def cmd_bench(args) -> str:
     else:
         spec = {"alpha": args.alpha, "total_ms": args.total_ms, "overhead": args.overhead,
                 "k_list": _parse_int_list(args.k), "reps": args.reps}
-    workload = harness.workload_from_spec(spec)
+    workload, seconds = harness._uncalibrated_workload(spec)
+    # The cap needs only k_list; calibrating first would spin for about a second.
+    harness._check_cap(workload.k_list, args.max_oversubscription)
+    workload = replace(workload, total_work=harness.calibrate(seconds))
     series = harness.run_synthetic(workload, args.max_oversubscription)
     return dataio.emit_measurements([series], args.format)
 

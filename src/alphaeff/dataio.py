@@ -21,6 +21,7 @@ they are carried alongside so recomputation can be checked against them.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -30,6 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import metrics, timeline
@@ -63,10 +65,13 @@ class ValueKind(Enum):
     @classmethod
     def from_text(cls, text: str) -> "ValueKind":
         try:
-            return cls(text.strip().lower())
-        except ValueError:
+            return _VALUE_KINDS[text.strip().lower()]
+        except KeyError:
             known = ", ".join(k.value for k in cls)
             raise ValueError(f"unknown value kind {text!r} (expected one of: {known})")
+
+
+_VALUE_KINDS = {kind.value: kind for kind in ValueKind}
 
 
 class DataFormatError(ValueError):
@@ -232,6 +237,41 @@ def _encoder(depth: int):
 _SCALARS = (str, int, float, type(None))  # bool is an int
 
 
+@functools.lru_cache(maxsize=64)
+def _record_template(names: tuple[str, ...], depth: int) -> str:
+    """The %-template of one dict with keys ``names``, ``depth`` levels in."""
+    newline = "\n" + "  " * (depth + 1)
+    key = json.encoder.encode_basestring_ascii
+    return "{" + newline + ("," + newline).join(
+        key(name).replace("%", "%%") + ": %s" for name in names
+    ) + "\n" + "  " * depth + "}"
+
+
+def _json_records(records, depth: int) -> str | None:
+    """The items of a list of same-key dicts of scalars, laid out ``depth`` levels in.
+
+    None when ``records`` is not such a list.  One encoder call writes
+    every value, in sorted-key order; no encoded scalar holds a newline,
+    so the text splits on the item separator into the values of one
+    record template repeated for every record.
+    """
+    first = records[0]
+    if not (isinstance(first, dict) and first and all(map(isinstance, records, repeat(dict)))):
+        return None
+    keys = first.keys()
+    if not all(map(keys.__eq__, map(dict.keys, records))):
+        return None
+    names = tuple(sorted(keys))
+    values = list(map(operator.itemgetter(*names), records))
+    if len(names) > 1:  # itemgetter of one name gives the value itself, not a 1-tuple
+        values = list(chain.from_iterable(values))
+    if not all(issubclass(kind, _SCALARS) for kind in set(map(type, values))):
+        return None
+    cells = "".join(_encoder(0)(values, 0))[1:-1].split(",\n")
+    template = (",\n" + "  " * depth).join(repeat(_record_template(names, depth), len(records)))
+    return template % tuple(cells)
+
+
 def _json_layout(doc, depth: int) -> str:
     """``doc`` as ``json.dumps(indent=2, sort_keys=True)`` writes it ``depth`` levels in.
 
@@ -246,7 +286,7 @@ def _json_layout(doc, depth: int) -> str:
     if not doc:
         return brackets
     newline = "\n" + "  " * (depth + 1)
-    if all(isinstance(item, _SCALARS) for item in items):
+    if all(map(isinstance, items, repeat(_SCALARS))):
         body = "".join(_encoder(depth + 1)(doc, 0))[1:-1]
     elif brackets == "{}":
         key = json.encoder.encode_basestring_ascii
@@ -254,7 +294,9 @@ def _json_layout(doc, depth: int) -> str:
             key(k) + ": " + _json_layout(v, depth + 1) for k, v in sorted(doc.items())
         )
     else:
-        body = ("," + newline).join(_json_layout(v, depth + 1) for v in doc)
+        body = _json_records(doc, depth + 1)
+        if body is None:
+            body = ("," + newline).join(_json_layout(v, depth + 1) for v in doc)
     return brackets[0] + newline + body + "\n" + "  " * depth + brackets[1]
 
 
@@ -359,10 +401,12 @@ def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
             raise DataFormatError(f"line {lineno}: value must be a number, got {value_text!r}")
         if not (math.isfinite(value) and value > 0.0):
             raise DataFormatError(f"line {lineno}: value must be positive, got {value}")
-        try:
-            kind = ValueKind.from_text(kind_text)
-        except ValueError as exc:
-            raise DataFormatError(f"line {lineno}: {exc}")
+        kind = _VALUE_KINDS.get(kind_text.lower())  # the fields are stripped
+        if kind is None:
+            try:
+                ValueKind.from_text(kind_text)  # raises the unknown-kind error
+            except ValueError as exc:
+                raise DataFormatError(f"line {lineno}: {exc}")
         rows.append((lineno, label, k, value, kind))
 
     # label -> (kind, line of its first row, k -> value), in order of first appearance.
@@ -600,23 +644,26 @@ _ROW_FIELDS = ("k", "speedup", "efficiency", "alpha_eff", "serial_fraction", "re
 _row_values = operator.attrgetter(*_ROW_FIELDS)
 
 
+def _row_columns(reports: Sequence[ScalingReport]) -> tuple[list[str], list[tuple]]:
+    """The label of every report row, and each of its _ROW_FIELDS as one column."""
+    labels = list(chain.from_iterable(repeat(r.label, len(r.rows)) for r in reports))
+    rows = chain.from_iterable(r.rows for r in reports)
+    return labels, list(zip(*map(_row_values, rows))) or [()] * len(_ROW_FIELDS)
+
+
 def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[str]:
-    header = ("label", *_ROW_FIELDS)
-    # A plain loop: calling _fmt_cell from Python is cheaper than through map().
-    body = []
-    for report in reports:
-        for values in map(_row_values, report.rows):
-            cells = [report.label]
-            for value in values:
-                cells.append(_fmt_cell(value))
-            body.append(cells)
-    widths = [max(map(len, column)) for column in zip(header, *body)]
-
-    def render(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-
-    lines = [render(header)]
-    lines.extend(render(r) for r in body)
+    labels, columns = _row_columns(reports)
+    cells = [labels]
+    for values in columns:
+        if all(issubclass(kind, float) for kind in set(map(type, values))):
+            cells.append(map(format, values, repeat(".6g")))  # _fmt_cell's float rule
+        else:
+            cells.append(map(_fmt_cell, values))
+    padded = []
+    for name, column in zip(("label", *_ROW_FIELDS), cells):
+        column = [name, *column]
+        padded.append(map(str.ljust, column, repeat(max(map(len, column)))))
+    lines = list(map(str.rstrip, map("  ".join, zip(*padded))))
     if include_fit:
         for report in reports:
             if report.fitted is not None:
@@ -645,14 +692,10 @@ def emit_reports(reports, format: str = "table", include_fit: bool = False) -> s
         return "\n".join(_table_lines(reports, include_fit)) + "\n"
     if fmt == "csv":
         # A measurement CSV of speedups: "speedup" becomes "value", then "kind".
-        kind = ValueKind.SPEEDUP.value
+        labels, (ks, speedups, *derived) = _row_columns(reports)
         return _csv_text(
             _REQUIRED_COLUMNS + _ROW_FIELDS[2:],
-            (
-                (report.label, k, speedup, kind, *derived)
-                for report in reports
-                for k, speedup, *derived in map(_row_values, report.rows)
-            ),
+            zip(labels, ks, speedups, repeat(ValueKind.SPEEDUP.value), *derived),
         )
     if fmt == "json":
         return _json_text({"reports": [

@@ -220,6 +220,17 @@ def _measure_once(serial_units: int, chunk_units: list[int], control_units: list
     return elapsed
 
 
+def _check_cap(k_list, max_oversubscription: int) -> None:
+    """Reject a k above ``max_oversubscription`` times the available processors."""
+    cap = max_oversubscription * available_processors()
+    too_big = [k for k in k_list if k > cap]
+    if too_big:
+        raise ValueError(
+            f"k={max(too_big)} exceeds the hard cap of {cap} "
+            f"({max_oversubscription} x {available_processors()} available processors)"
+        )
+
+
 def run_synthetic(
     workload: SyntheticWorkload, max_oversubscription: int = 4
 ) -> MeasurementSeries:
@@ -231,14 +242,7 @@ def run_synthetic(
     available count to keep runs sane.  Repetitions run interleaved
     across k; see the module docstring for that and for pinning.
     """
-    cap = max_oversubscription * available_processors()
-    too_big = [k for k in workload.k_list if k > cap]
-    if too_big:
-        raise ValueError(
-            f"k={max(too_big)} exceeds the hard cap of {cap} "
-            f"({max_oversubscription} x {available_processors()} available processors)"
-        )
-
+    _check_cap(workload.k_list, max_oversubscription)
     plans = {k: _split_chunks(workload, k) for k in workload.k_list}
     best = dict.fromkeys(workload.k_list, math.inf)
     for _ in range(workload.repetitions):
@@ -269,6 +273,16 @@ def workload_from_spec(source) -> SyntheticWorkload:
     fraction, "k_list"?: [counts], "reps"?: count}.  ``total_ms`` is
     converted to spin units by calibrating on this host.
     """
+    workload, seconds = _uncalibrated_workload(source)
+    return replace(workload, total_work=calibrate(seconds))
+
+
+def _uncalibrated_workload(source) -> tuple[SyntheticWorkload, float]:
+    """The checked workload of a spec with ``total_work=1``, and its ``total_ms`` in seconds.
+
+    Every field is checked here, before anything spends a calibration on
+    ``total_ms``.
+    """
     if hasattr(source, "read") or isinstance(source, (str, bytes)):
         doc = _load_json(source, "workload JSON")
     else:
@@ -286,6 +300,4 @@ def workload_from_spec(source) -> SyntheticWorkload:
     if "k_list" in doc and not isinstance(doc["k_list"], list):
         raise ValueError("k_list must be a list of integers")
     fields = {field: doc[key] for key, field in _SPEC_FIELDS.items() if key in doc}
-    # Check every other field before spending a calibration on total_ms.
-    workload = SyntheticWorkload(total_work=1, **fields)
-    return replace(workload, total_work=calibrate(doc["total_ms"] / 1000.0))
+    return SyntheticWorkload(total_work=1, **fields), doc["total_ms"] / 1000.0

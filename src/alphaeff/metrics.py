@@ -265,26 +265,26 @@ def fit_alpha(points) -> FitResult:
     """
     if hasattr(points, "speedup_points"):
         points = points.speedup_points()
-    usable = []
+    usable = []  # (k, s, x) with x = (k - 1)/k
     for k, s in points:
         k = _check_finite("k", k)
         s = _check_finite("speedup", s)
         if s <= 0.0:
             raise ValueError(f"speedup must be positive, got {s}")
         if k >= 2:
-            usable.append((k, s))
+            usable.append((k, s, (k - 1.0) / k))
     if not usable:
         raise ValueError("no points with k >= 2 to fit")
 
     try:
-        sxy = math.fsum((k - 1.0) / k * (1.0 - 1.0 / s) for k, s in usable)
+        sxy = math.fsum(x * (1.0 - 1.0 / s) for k, s, x in usable)
     except OverflowError:  # each term is at most 1, so only a negative sum overflows
         sxy = -math.inf
-    sxx = math.fsum(((k - 1.0) / k) ** 2 for k, s in usable)
+    sxx = math.fsum(x ** 2 for k, s, x in usable)
     alpha = min(1.0, max(0.0, sxy / sxx))
     try:
         residual = math.fsum(
-            (1.0 / s - ((1.0 - alpha) + alpha / k)) ** 2 for k, s in usable
+            (1.0 / s - ((1.0 - alpha) + alpha / k)) ** 2 for k, s, x in usable
         )
     except OverflowError:  # a square, or the sum of them, past the float range
         residual = math.inf
@@ -306,14 +306,23 @@ class MetricRow:
     serial_fraction: float | None = field(init=False)
 
     def __post_init__(self):
-        if not _is_count(self.k):
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        k = self.k
+        if not _is_count(k):
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
         if not _is_number(self.speedup):
             raise ValueError(f"speedup must be a number, got {self.speedup!r}")
-        object.__setattr__(self, "efficiency", efficiency(self.speedup, self.k))
-        ae = alpha_eff(self.speedup, self.k) if self.k >= 2 else None
-        object.__setattr__(self, "alpha_eff", ae)
-        object.__setattr__(self, "serial_fraction", None if ae is None else 1.0 - ae)
+        # The float operations of efficiency() and alpha_eff(), checked once.
+        s = float(self.speedup)
+        if not 0.0 < s < math.inf:
+            efficiency(s, k)  # raises the check's own error
+        kf = float(k)
+        alpha = serial = None
+        if k >= 2:
+            value = (kf / (kf - 1.0)) * (s - 1.0) / s
+            alpha, serial = EffectiveParallelization(value, classify_regime(s, kf)), 1.0 - value
+        object.__setattr__(self, "efficiency", s / kf)
+        object.__setattr__(self, "alpha_eff", alpha)
+        object.__setattr__(self, "serial_fraction", serial)
 
     @classmethod
     def from_speedup(cls, k: int, s: float) -> "MetricRow":

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -524,6 +525,23 @@ class TestBench:
         assert rc == 2
         assert "hard cap" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "0.5", "--k", "1,999"],
+        ["--spec", "-"],
+    ], ids=["flags", "spec"])
+    def test_cap_is_checked_before_calibrating(self, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("no calibration or worker may start past the cap")
+
+        monkeypatch.setattr(harness, "calibrate", never)
+        monkeypatch.setattr(harness, "_measure_once", never)
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"alpha": 0.5, "total_ms": 250, "k_list": [1, 999]}'))
+        rc, out, err = run_cli(capsys, "bench", *argv, "--max-oversubscription", "2")
+        cap = 2 * harness.available_processors()
+        assert (rc, out) == (2, "")
+        assert err == (f"error: k=999 exceeds the hard cap of {cap} "
+                       f"(2 x {harness.available_processors()} available processors)\n")
+
     def test_spec_with_utf8_bom_on_stdin(self, capsys, monkeypatch):
         # A spec piped in with a BOM reads as it does from a file.
         spec = '\ufeff{"alpha": 0.5, "total_ms": 20, "k_list": [1], "reps": 1}'
@@ -860,6 +878,16 @@ class TestPlumbing:
         from_file = self._run_module(["analyze", str(path)])
         assert (piped.returncode, piped.stderr) == (0, b"")
         assert piped.stdout == from_file.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "-"], ["simulate", "-", "--k", "2"], ["bench", "--spec", "-"],
+    ], ids=["analyze", "simulate", "bench-spec"])
+    def test_closed_stdin_is_io_error(self, argv):
+        # With file descriptor 0 closed, Python starts with sys.stdin None.
+        proc = subprocess.run([sys.executable, "-m", "alphaeff", *argv],
+                              preexec_fn=lambda: os.close(0), capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"error: standard input is closed\n"
 
     @pytest.mark.parametrize("argv, doc, message", [
         (["simulate", "-", "--k", "2"],

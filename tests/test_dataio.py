@@ -6,6 +6,7 @@ numbers: e.g. k=8 at 87% efficiency gives speedup 6.96, effective
 parallelization (8/7)(1 - 1/6.96) = 596/609, serial fraction 13/609.
 """
 
+import csv
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from alphaeff import dataio, metrics
@@ -824,13 +825,16 @@ class TestPinnedReportBytes:
         assert with_series <= set(_PINNED_REPORT_DIGESTS)
 
 
+@pytest.fixture
+def no_c_encoder(monkeypatch):
+    """The JSON writer's fallback, for an interpreter built without ``_json``."""
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(dataio, "_ENCODERS", {})
+
+
+@pytest.mark.usefixtures("no_c_encoder")
 class TestPinnedReportBytesWithoutCEncoder:
     """The JSON writer's fallback, for an interpreter built without ``_json``."""
-
-    @pytest.fixture(autouse=True)
-    def no_c_encoder(self, monkeypatch):
-        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        monkeypatch.setattr(dataio, "_ENCODERS", {})
 
     @pytest.mark.parametrize("source", sorted(_PINNED_REPORT_DIGESTS))
     def test_report_bytes_unchanged(self, source):
@@ -862,10 +866,24 @@ _JSON_SCALARS = st.one_of(
     st.booleans(),
     st.none(),
 )
+# Lists of dicts that share their keys, as report rows and measurement
+# points are; keys that %-formatting or the JSON escapes could misread,
+# and values past the float range or not finite, which must fail alike.
+_RECORD_KEYS = st.one_of(st.text(max_size=4), st.text(alphabet='{}%"s\u00e9\U0001f600', max_size=4))
+_RECORD_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, metrics.EffectiveParallelization(math.nan)]),
+)
+_JSON_RECORDS = st.lists(_RECORD_KEYS, min_size=1, max_size=5, unique=True).flatmap(
+    lambda keys: st.lists(
+        st.permutations(keys).flatmap(
+            lambda order: st.fixed_dictionaries({key: _RECORD_VALUES for key in order})),
+        min_size=1, max_size=6))
 # Empty containers are leaves too, so they turn up at every depth and as
 # the whole document.
 _JSON_DOCS = st.recursive(
-    _JSON_SCALARS | st.sampled_from([{}, [], ()]),
+    _JSON_SCALARS | st.sampled_from([{}, [], ()]) | _JSON_RECORDS | _JSON_RECORDS.map(tuple),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
@@ -880,12 +898,22 @@ _NON_FINITE_MESSAGE = (
 )
 
 
+def _assert_is_json_dumps(doc):
+    try:
+        expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite number
+        with pytest.raises(DataFormatError) as info:
+            dataio._json_text(doc)
+        assert str(info.value) == _NON_FINITE_MESSAGE
+    else:
+        assert dataio._json_text(doc) == expected
+
+
 class TestJsonText:
     @settings(max_examples=500, deadline=None)
     @given(doc=_JSON_DOCS)
     def test_is_json_dumps_byte_for_byte(self, doc):
-        expected = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        assert dataio._json_text(doc) == expected
+        _assert_is_json_dumps(doc)
 
     @pytest.mark.parametrize("doc", [
         float("nan"),
@@ -913,6 +941,99 @@ class TestJsonText:
         with pytest.raises(TypeError) as info:
             dataio._json_text(doc)
         assert str(info.value) == str(expected.value)
+
+
+# ------------------------------------------ table and CSV, cell by cell
+
+def _cell(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
+def _per_cell_reports(reports, fmt, include_fit):
+    """The table and CSV writers as they were, one Python call per cell: the oracle."""
+    body = [[report.label] + [getattr(row, name) for name in dataio._ROW_FIELDS]
+            for report in reports for row in report.rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("label", "k", "value", "kind", *dataio._ROW_FIELDS[2:]))
+        writer.writerows([label, k, s, "speedup", *rest] for label, k, s, *rest in body)
+        return buf.getvalue()
+    header = ["label", *dataio._ROW_FIELDS]
+    cells = [[label] + [_cell(v) for v in values] for label, *values in body]
+    widths = [max(len(c) for c in column) for column in zip(header, *cells)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip()
+             for line in [header, *cells]]
+    if include_fit:
+        lines += [f"fitted: {r.label}  alpha={r.fitted.model.alpha:.6g}"
+                  f"  residual={r.fitted.residual:.6g}" for r in reports if r.fitted is not None]
+    return "\n".join(lines) + "\n"
+
+
+_REPORT_LABELS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\rlf", "\u00e9\u2713\U0001f600", " pad "]),
+)
+_REPORT_SPEEDUPS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=0.5, max_value=20.0),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=10**6, max_value=10**300),
+)
+
+
+@st.composite
+def _scaling_reports(draw):
+    ks = sorted(draw(st.sets(st.one_of(st.just(1), st.integers(1, 64), st.integers(1, 10**7)),
+                             max_size=6)))
+    rows = [metrics.MetricRow(k, draw(_REPORT_SPEEDUPS)) for k in ks]
+    fitted = draw(st.none() | st.builds(
+        metrics.FitResult, st.builds(metrics.AmdahlModel, st.floats(0.0, 1.0)),
+        st.one_of(st.floats(0.0, 1e6), st.just(math.inf))))
+    return ScalingReport(draw(_REPORT_LABELS), tuple(rows), fitted)
+
+
+_REPORT_LISTS = st.lists(_scaling_reports(), max_size=4)
+
+
+def _assert_writers_match_per_cell(reports):
+    for fmt in ("table", "csv"):
+        for include_fit in (False, True):
+            assert emit_reports(reports, fmt, include_fit=include_fit) == _per_cell_reports(
+                reports, fmt, include_fit)
+
+
+class TestReportWriters:
+    @settings(max_examples=300, deadline=None)
+    @given(reports=_REPORT_LISTS)
+    def test_table_and_csv_match_the_per_cell_writer(self, reports):
+        _assert_writers_match_per_cell(reports)
+
+    def test_oracle_covers_no_reports_and_pinned_edges(self):
+        for reports in ([], [ScalingReport("none", ())],
+                        [analyze(s) for s in _edge_series()["comma-quote-label"]]):
+            _assert_writers_match_per_cell(reports)
+
+
+@pytest.mark.usefixtures("no_c_encoder")
+class TestPropertiesWithoutCEncoder:
+    """TestJsonText's and TestReportWriters' properties through the JSON fallback."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_JSON_DOCS)
+    def test_json_text_is_json_dumps_byte_for_byte(self, doc):
+        _assert_is_json_dumps(doc)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(reports=_REPORT_LISTS)
+    def test_table_and_csv_match_the_per_cell_writer(self, reports):
+        _assert_writers_match_per_cell(reports)
 
 
 # --------------------------------------- emit_published_serial_fractions
