@@ -25,6 +25,8 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import cycle, islice
 from typing import Sequence, Union
 
 from . import metrics
@@ -88,7 +90,9 @@ class Timeline:
 
     Construction is the one walk over the segments: it also groups their
     durations by kind, in timeline order.  The accessors, ``serial_time``
-    and ``simulate`` read those groups.
+    and ``simulate`` read those groups.  The sums they need are computed
+    once, on first use, and cached on the instance; like the groups they
+    are not fields.
     """
 
     segments: tuple[Segment, ...]
@@ -119,11 +123,20 @@ class Timeline:
 
     @property
     def total_sequential(self) -> float:
-        return math.fsum(self._durations[SegmentKind.SEQUENTIAL])
+        return self._sums[0]
 
     @property
     def total_control(self) -> float:
-        return math.fsum(self._durations[SegmentKind.CONTROL])
+        return self._sums[1]
+
+    @cached_property
+    def _sums(self) -> tuple[float, float, float]:
+        """Sequential, control, and sequential plus chunk durations, each by fsum."""
+        # Filled on first use, not at construction.  fsum is exactly rounded,
+        # so each sum equals the timeline-order sum.
+        seq = self._durations[SegmentKind.SEQUENTIAL]
+        return (math.fsum(seq), math.fsum(self._durations[SegmentKind.CONTROL]),
+                math.fsum(seq + self._durations[SegmentKind.PARALLEL_CHUNK]))
 
 
 # Static assignment policies.  ROUND_ROBIN deals chunk i to worker
@@ -143,7 +156,8 @@ def _assign(chunks: Sequence[float], k: int, policy: AssignmentPolicy) -> list[i
     n = len(chunks)
     if isinstance(policy, str):
         if policy == ROUND_ROBIN:
-            return [i % k for i in range(n)]
+            # O(n) memory: cycle keeps only the indices it has yielded.
+            return list(islice(cycle(range(k)), n))
         if policy == LPT:
             # Stable sort keeps timeline order among equal durations.
             order = sorted(range(n), key=chunks.__getitem__, reverse=True)
@@ -177,8 +191,7 @@ def _assign(chunks: Sequence[float], k: int, policy: AssignmentPolicy) -> list[i
 
 def serial_time(timeline: Timeline) -> float:
     """One-processor baseline: sequential plus chunk work, no control."""
-    # fsum is exactly rounded, so this equals the timeline-order sum.
-    return math.fsum(timeline._durations[SegmentKind.SEQUENTIAL] + timeline.chunk_durations)
+    return timeline._sums[2]
 
 
 @dataclass(frozen=True)
@@ -213,7 +226,7 @@ def simulate(
     """
     if not metrics._is_count(k):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    chunks = timeline.chunk_durations
+    chunks = timeline._durations[SegmentKind.PARALLEL_CHUNK]
     assignment = _assign(chunks, k, policy)
 
     loads = [0.0] * k
@@ -224,8 +237,8 @@ def simulate(
     busy = tuple(loads)
     wait = tuple(max_load - load for load in loads)
 
-    t_serial = serial_time(timeline)
-    t_total = timeline.total_sequential + timeline.total_control + max_load
+    total_sequential, total_control, t_serial = timeline._sums
+    t_total = total_sequential + total_control + max_load
     # t_total > 0 because some segment has positive duration and every
     # kind contributes to it (chunks via some worker's load <= max).
     s = t_serial / t_total
@@ -233,7 +246,11 @@ def simulate(
         ae = metrics.alpha_eff(s, k)
     else:
         ae = None
-    return ScheduleResult(
+    # The generated frozen __init__ sets each field with object.__setattr__;
+    # ScheduleResult has no __post_init__, so one __dict__ update in field
+    # order builds the same instance in one step.
+    result = object.__new__(ScheduleResult)
+    result.__dict__.update(
         k=k,
         t_serial=t_serial,
         t_total=t_total,
@@ -243,6 +260,7 @@ def simulate(
         per_processor_wait=wait,
         assignment=tuple(assignment),
     )
+    return result
 
 
 def surface(

@@ -11,15 +11,17 @@ import math
 import random
 import struct
 import sys
+import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alphaeff import metrics
 from alphaeff.timeline import (
     LPT,
     ROUND_ROBIN,
+    ScheduleResult,
     Segment,
     SegmentKind,
     Timeline,
@@ -597,6 +599,9 @@ def lpt_by_scan(chunks, k):
 @settings(max_examples=200, deadline=None)
 @given(chunks=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=200),
        k=st.integers(min_value=1, max_value=250))
+# Zero-duration chunks all go to worker 1, the lowest index left at load 0
+# once worker 0 holds the 3: (1, 1, 1, 0), not one idle worker each.
+@example(chunks=[0, 0, 0, 3], k=8)
 def test_lpt_matches_linear_scan(chunks, k):
     # Small integer durations tie often, both as chunks and as loads.
     tl = chunks_timeline(chunks, seq=1.0)
@@ -641,3 +646,163 @@ def test_grouped_accessors_match_timeline_order_filters(segs):
         s.duration for s in tl.segments if s.kind is SegmentKind.CONTROL)
     assert serial_time(tl) == math.fsum(
         s.duration for s in tl.segments if s.kind is not SegmentKind.CONTROL)
+
+
+def _reference_simulate(timeline, k, policy=ROUND_ROBIN):
+    """simulate as it was before a timeline cached its sums: the oracle.
+
+    It deals round-robin with a per-chunk ``%``, sums the segments'
+    durations itself on every call and builds the result through the
+    generated ``ScheduleResult.__init__``.
+    """
+    if not metrics._is_count(k):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    chunks = timeline.chunk_durations
+    if isinstance(policy, str) and policy == ROUND_ROBIN:
+        assignment = [i % k for i in range(len(chunks))]
+    else:
+        assignment = _assign(chunks, k, policy)
+
+    loads = [0.0] * k
+    for duration, worker in zip(chunks, assignment):
+        loads[worker] += duration
+
+    max_load = max(loads)
+    busy = tuple(loads)
+    wait = tuple(max_load - load for load in loads)
+
+    def durations(kind):
+        return tuple(s.duration for s in timeline.segments if s.kind is kind)
+
+    t_serial = math.fsum(durations(SegmentKind.SEQUENTIAL) + chunks)
+    t_total = (math.fsum(durations(SegmentKind.SEQUENTIAL))
+               + math.fsum(durations(SegmentKind.CONTROL)) + max_load)
+    s = t_serial / t_total
+    if k >= 2 and s > 0.0:
+        ae = metrics.alpha_eff(s, k)
+    else:
+        ae = None
+    return ScheduleResult(
+        k=k,
+        t_serial=t_serial,
+        t_total=t_total,
+        speedup=s,
+        alpha_eff=ae,
+        per_processor_busy=busy,
+        per_processor_wait=wait,
+        assignment=tuple(assignment),
+    )
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+_everyday_durations = st.one_of(
+    wide_durations,
+    st.floats(min_value=0.0, max_value=1e3),
+    # Full 53-bit significands, so sums in another order round differently.
+    st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(-70, -40)),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, sys.float_info.min]),
+    st.integers(min_value=0, max_value=10**6),
+)
+# A duration near the float range absorbs every other one, so it is drawn
+# into one timeline in ten, not into every long one.
+oracle_segment_lists = st.integers(0, 9).flatmap(lambda roll: st.lists(
+    st.tuples(st.sampled_from(SegmentKind),
+              _everyday_durations | st.floats(min_value=1e307, max_value=sys.float_info.max)
+              if roll == 0 else _everyday_durations),
+    min_size=1, max_size=20))
+bad_ks = st.sampled_from([0, -1, True, 2.0, "3", None, sys.maxsize + 1])
+
+
+@st.composite
+def oracle_calls(draw, n):
+    """One simulate call, or one read of a cached sum, on a timeline of n chunks."""
+    what = draw(st.sampled_from(["simulate"] * 4 + ["serial_time", "total_sequential",
+                                                    "total_control"]))
+    if what != "simulate":
+        return (what,)
+    k = draw(st.integers(min_value=1, max_value=n + 3) | bad_ks)
+    width = k if metrics._is_count(k) else 3
+    policy = draw(st.one_of(
+        st.sampled_from([ROUND_ROBIN, LPT, "nope"]),
+        st.lists(st.integers(min_value=0, max_value=width - 1), min_size=n, max_size=n),
+        st.lists(st.integers(min_value=-1, max_value=width), min_size=max(n - 1, 0),
+                 max_size=n + 1),
+        st.just([False] * n),
+    ))
+    return ("simulate", k, policy)
+
+
+@settings(max_examples=400, deadline=None)
+@given(segs=oracle_segment_lists, data=st.data())
+def test_simulate_matches_the_uncached_reference(segs, data):
+    # The sums are cached on first use, so the drawn calls check them both
+    # when a call fills the cache and when a later call reads it.
+    try:
+        tl = Timeline([Segment(kind, d) for kind, d in segs])
+    except ValueError:
+        assume(False)
+    n = len(tl.chunk_durations)
+    calls = data.draw(st.lists(oracle_calls(n), min_size=2, max_size=5))
+    names = [f.name for f in dataclasses.fields(ScheduleResult)]
+    for what, *args in calls:
+        if what == "serial_time":
+            assert repr(serial_time(tl)) == repr(math.fsum(
+                s.duration for s in tl.segments if s.kind is not SegmentKind.CONTROL))
+            continue
+        if what != "simulate":
+            kind = SegmentKind.SEQUENTIAL if what == "total_sequential" else SegmentKind.CONTROL
+            assert repr(getattr(tl, what)) == repr(math.fsum(
+                s.duration for s in tl.segments if s.kind is kind))
+            continue
+        result, error = _outcome(lambda: simulate(tl, *args))
+        expected, expected_error = _outcome(lambda: _reference_simulate(tl, *args))
+        assert error == expected_error
+        if expected is None:
+            continue
+        assert repr(result) == repr(expected)
+        assert result == expected and hash(result) == hash(expected)
+        assert list(vars(result)) == list(vars(expected)) == names
+        assert type(result.alpha_eff) is type(expected.alpha_eff)
+        assert getattr(result.alpha_eff, "regime", None) == getattr(expected.alpha_eff, "regime",
+                                                                    None)
+    # The cache is not a field: repr, == and hash still see only the segments.
+    assert repr(tl) == f"Timeline(segments={tl.segments!r})"
+    copy = dataclasses.replace(tl)
+    assert copy == tl and hash(copy) == hash(tl)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_round_robin_memory_is_no_more_than_lpt_at_huge_k():
+    # Both policies need the O(k) per-worker lists (about 46 MiB here); the
+    # assignment itself must stay O(n), or round-robin would run out of
+    # memory sooner than LPT does.  The policies' own n-item lists differ by
+    # a few dozen bytes, so the bound is "less than one byte per worker
+    # more", not byte equality.
+    tl = chunks_timeline([1.0, 2.0, 3.0])
+    # Warm both code paths, the cached sums and tracemalloc itself, so the
+    # measured calls do the same work apart from the assignment.
+    for policy in (ROUND_ROBIN, LPT):
+        _peak_bytes(lambda: simulate(tl, 2, policy))
+    k = 10**6
+    rr = _peak_bytes(lambda: simulate(tl, k, ROUND_ROBIN))
+    lpt = _peak_bytes(lambda: simulate(tl, k, LPT))
+    assert rr < lpt + k
+    # A list of k worker indices would be freed before the per-worker lists
+    # are built, so the peaks above cannot see it; the assignment's own peak can.
+    for policy in (ROUND_ROBIN, LPT):
+        assert _peak_bytes(lambda: _assign(tl.chunk_durations, k, policy)) < 4096
