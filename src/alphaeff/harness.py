@@ -6,15 +6,20 @@ series.  Work is pure integer arithmetic (never sleep), so concurrent
 workers genuinely contend for cores; workers are separate processes, so
 the interpreter lock does not serialize them.
 
-Per measured k the harness executes the serial share, then for each of
-the k chunks spins the chunk's control overhead serially and forks its
-worker.  Every worker waits on one pipe; closing its write end once the
-control work is done releases them all together, mirroring the model
-where control serializes and chunks then run concurrently.  Workers
-always start by ``os.fork`` (the harness is POSIX-only) and the parent
-only reaps them, so a worker that dies early cannot stall it.  Reported
-time per k is the minimum across repetitions, the usual
-noise-suppressing choice for wall times.
+Per measured k the harness first forks (and pins) the k workers and
+waits until each is parked on the release pipe; the clock starts only
+then.  Timed are the serial share, each chunk's control overhead, spun
+serially, and the release: closing the pipe's write end starts every
+worker together, mirroring the model where control serializes and
+chunks then run concurrently.  The clock stops when the last chunk
+ends, which each worker signals by closing its end of a "done" pipe, so
+T(k) holds serial, control and release-until-the-last-chunk-ends, and
+leaves out the process lifecycle (fork, pin, park, exit, reap), which
+the model does not have.  Workers always start by ``os.fork`` (the
+harness is POSIX-only) and the parent only reads to end-of-file and
+reaps, so a worker that dies early cannot stall it: the kernel closes a
+dead worker's pipe ends.  Reported time per k is the minimum across
+repetitions, the usual noise-suppressing choice for wall times.
 
 Repetitions are interleaved across k (the first repetition of every k,
 then the second, ...), so a slow drift in host speed touches every k
@@ -182,41 +187,68 @@ def _placement(k: int) -> list[int] | None:
     return cpus[:k] if k <= len(cpus) else None
 
 
+def _close(fds: list[int], fd: int) -> None:
+    """Close ``fd`` and drop it from ``fds``, the descriptors still open."""
+    fds.remove(fd)
+    os.close(fd)
+
+
 def _measure_once(serial_units: int, chunk_units: list[int], control_units: list[int]) -> float:
     cpus = _placement(len(chunk_units))
-    release_r, release_w = os.pipe()
+    fds = []
     pids = []
-
-    t0 = time.perf_counter()
-    checksum = _spin(serial_units)
     try:
-        for i, (units, ctl) in enumerate(zip(chunk_units, control_units)):
+        for _ in range(3):
+            fds.extend(os.pipe())
+        release_r, release_w, parked_r, parked_w, done_r, done_w = fds
+
+        # Untimed: fork and pin every worker, then wait until all are parked.
+        # The park and reap phases are read from time.monotonic, so that
+        # perf_counter brackets the measured interval alone.
+        park_start = time.monotonic()
+        try:
+            for i, units in enumerate(chunk_units):
+                pid = os.fork()
+                if pid == 0:  # the worker, which never returns into the caller
+                    code = 1
+                    try:
+                        for fd in (release_w, parked_r, done_r, parked_w):
+                            os.close(fd)  # parked_w last: this worker is parked
+                        _worker(units, release_r)
+                        os.close(done_w)  # its chunk has ended
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+                if cpus is not None:
+                    os.sched_setaffinity(pid, {cpus[i]})
+        except OSError as exc:
+            raise RuntimeError(f"worker spawn failed: {exc}")
+        _close(fds, parked_w)
+        _close(fds, done_w)
+        os.read(parked_r, 1)  # EOF once every worker is parked
+        parked = time.monotonic() - park_start
+
+        t0 = time.perf_counter()
+        checksum = _spin(serial_units)
+        for ctl in control_units:
             checksum ^= _spin(ctl)
-            pid = os.fork()
-            if pid == 0:  # the worker, which never returns into the caller
-                code = 1
-                try:
-                    os.close(release_w)
-                    _worker(units, release_r)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-            if cpus is not None:
-                os.sched_setaffinity(pid, {cpus[i]})
-    except OSError as exc:
-        raise RuntimeError(f"worker spawn failed: {exc}")
+        _close(fds, release_w)
+        os.read(done_r, 1)  # EOF once every chunk has ended or its worker died
+        elapsed = time.perf_counter() - t0
     finally:
         # Release and reap every started worker, also after a failed spawn.
-        os.close(release_w)
-        os.close(release_r)
+        reap_start = time.monotonic()
+        for fd in fds:
+            os.close(fd)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    elapsed = time.perf_counter() - t0
+        reaped = time.monotonic() - reap_start
 
     for code in codes:
         if code != 0:
             raise RuntimeError(f"worker exited with code {code}")
-    logger.debug("measured %.6fs (checksum %016x)", elapsed, checksum)
+    logger.debug("measured %.6fs, untimed park %.6fs and reap %.6fs (checksum %016x)",
+                 elapsed, parked, reaped, checksum)
     return elapsed
 
 
@@ -239,7 +271,10 @@ def run_synthetic(
     Every k in the plan spawns exactly k worker processes; k may exceed
     the available processors (oversubscription shows the degradation
     nicely) but is capped at ``max_oversubscription`` times the
-    available count to keep runs sane.  Repetitions run interleaved
+    available count to keep runs sane.  Each T(k) is the serial and
+    control spins plus the release until the last chunk ends; forking,
+    pinning and parking the workers happen before the clock starts, and
+    their exit and reaping after it stops.  Repetitions run interleaved
     across k; see the module docstring for that and for pinning.
     """
     _check_cap(workload.k_list, max_oversubscription)

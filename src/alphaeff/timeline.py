@@ -235,7 +235,9 @@ def simulate(
 
     max_load = max(loads)
     busy = tuple(loads)
-    wait = tuple(max_load - load for load in loads)
+    # An idle worker waits max_load itself (max_load - 0.0 has the same
+    # bits), so at huge k the idle majority shares one float object.
+    wait = tuple(max_load if load == 0.0 else max_load - load for load in loads)
 
     total_sequential, total_control, t_serial = timeline._sums
     t_total = total_sequential + total_control + max_load

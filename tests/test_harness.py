@@ -5,6 +5,7 @@ real execution is tested against generous bands (scheduler noise), and
 anything needing true parallelism is skipped on single-processor hosts.
 """
 
+import contextlib
 import math
 import os
 import signal
@@ -159,9 +160,28 @@ def _record_pinning(monkeypatch, cpus):
     return calls
 
 
+@contextlib.contextmanager
+def _leaves_nothing_behind():
+    """Fail if the block takes 10 s, or leaves a descriptor open or a child unreaped."""
+    def hung(signum, frame):
+        raise TimeoutError("still waiting for the workers after 10 s")
+
+    fds = sorted(os.listdir("/dev/fd"))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/dev/fd")) == fds
+
+
 class TestRunSynthetic:
     def test_all_serial_workload_keeps_unit_speedup(self):
-        # With nothing to parallelize, extra workers only add spawn
+        # With nothing to parallelize, extra workers only add release
         # cost; the measured speedup must stay within 10% of 1.
         w = SyntheticWorkload(0.0, calibrate(0.4), k_list=(1, 2),
                               repetitions=2)
@@ -203,18 +223,9 @@ class TestRunSynthetic:
             run_synthetic(w)
 
     def test_worker_dying_before_release_does_not_hang(self, monkeypatch):
-        def hung(signum, frame):
-            raise TimeoutError("run_synthetic still waiting after 10 s")
-
         monkeypatch.setattr(harness, "_worker", lambda units, release: os._exit(3))
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(10)
-        try:
-            with pytest.raises(RuntimeError, match="exited with code 3"):
-                run_synthetic(SyntheticWorkload(0.5, 1000, k_list=(2,), repetitions=1))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with _leaves_nothing_behind(), pytest.raises(RuntimeError, match="exited with code 3"):
+            run_synthetic(SyntheticWorkload(0.5, 1000, k_list=(2,), repetitions=1))
 
     @has_affinity
     def test_spawn_failure_reaps_workers_and_closes_pipe(self, monkeypatch):
@@ -228,13 +239,48 @@ class TestRunSynthetic:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu, cpu + 1})
         monkeypatch.setattr(os, "sched_setaffinity", pin)
-        fds = sorted(os.listdir("/dev/fd"))
-        with pytest.raises(RuntimeError, match="worker spawn failed: pinning refused"):
+        with _leaves_nothing_behind(), pytest.raises(
+                RuntimeError, match="worker spawn failed: pinning refused"):
             harness._measure_once(0, [1000, 1000], [0, 0])
         assert len(pinned) == 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert sorted(os.listdir("/dev/fd")) == fds
+
+    def test_clean_run_leaves_nothing_behind(self):
+        with _leaves_nothing_behind():
+            assert harness._measure_once(0, [1000, 1000], [0, 0]) > 0.0
+
+    def test_worker_dying_after_release_leaves_nothing_behind(self, monkeypatch):
+        def dies_if_idle(units, release):
+            os.read(release, 1)
+            if units == 0:
+                os._exit(4)
+            harness._spin(units)
+
+        monkeypatch.setattr(harness, "_worker", dies_if_idle)
+        with _leaves_nothing_behind(), pytest.raises(RuntimeError, match="exited with code 4"):
+            harness._measure_once(0, [0, 10**6], [0, 0])
+
+    def test_no_fork_or_reap_inside_the_clock(self, monkeypatch):
+        events = []
+
+        def recorder(name, real):
+            def call(*args):
+                events.append(name)
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(os, "fork", recorder("fork", os.fork))
+        monkeypatch.setattr(os, "waitpid", recorder("waitpid", os.waitpid))
+        monkeypatch.setattr(harness.time, "perf_counter",
+                            recorder("clock", harness.time.perf_counter))
+        with _leaves_nothing_behind():
+            harness._measure_once(0, [1000, 1000], [0, 0])
+            # Read before the guard's own waitpid check is recorded.
+            at = {name: [i for i, e in enumerate(events) if e == name]
+                  for name in ("fork", "clock", "waitpid")}
+        assert len(at["fork"]) == len(at["waitpid"]) == 2 and len(at["clock"]) >= 2, events
+        # The process lifecycle lies outside the measured interval.
+        assert max(at["fork"]) < at["clock"][0], events
+        assert min(at["waitpid"]) > at["clock"][1], events
 
     def test_repetitions_interleave_across_k(self, monkeypatch):
         measured = []

@@ -788,11 +788,11 @@ def _peak_bytes(call):
 
 
 def test_round_robin_memory_is_no_more_than_lpt_at_huge_k():
-    # Both policies need the O(k) per-worker lists (about 46 MiB here); the
-    # assignment itself must stay O(n), or round-robin would run out of
-    # memory sooner than LPT does.  The policies' own n-item lists differ by
-    # a few dozen bytes, so the bound is "less than one byte per worker
-    # more", not byte equality.
+    # Both policies need the O(k) per-worker tuples (about 23 MiB here, as
+    # idle workers share one wait float); the assignment itself must stay
+    # O(n), or round-robin would run out of memory sooner than LPT does.
+    # The policies' own n-item lists differ by a few dozen bytes, so the
+    # bound is "less than one byte per worker more", not byte equality.
     tl = chunks_timeline([1.0, 2.0, 3.0])
     # Warm both code paths, the cached sums and tracemalloc itself, so the
     # measured calls do the same work apart from the assignment.
@@ -802,6 +802,7 @@ def test_round_robin_memory_is_no_more_than_lpt_at_huge_k():
     rr = _peak_bytes(lambda: simulate(tl, k, ROUND_ROBIN))
     lpt = _peak_bytes(lambda: simulate(tl, k, LPT))
     assert rr < lpt + k
+    assert lpt < 32 * 2**20
     # A list of k worker indices would be freed before the per-worker lists
     # are built, so the peaks above cannot see it; the assignment's own peak can.
     for policy in (ROUND_ROBIN, LPT):
