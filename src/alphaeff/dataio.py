@@ -92,12 +92,7 @@ class MeasurementSeries:
     baseline_k: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label.strip():
-            raise ValueError("series label must be a non-empty string")
-        if not isinstance(self.value_kind, ValueKind):
-            raise ValueError(f"value_kind must be a ValueKind, got {self.value_kind!r}")
-        if not metrics._is_count(self.baseline_k):
-            raise ValueError(f"baseline_k must be an integer >= 1, got {self.baseline_k!r}")
+        _check_series_fields(self.label, self.value_kind, self.baseline_k)
         normalized = []
         for point in self.points:
             k, value = point
@@ -106,19 +101,8 @@ class MeasurementSeries:
             if not (metrics._is_number(value) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{self.label!r}: values must be positive, got {value!r} at k={k}")
             normalized.append((k, float(value)))
-        if not normalized:
-            raise ValueError(f"{self.label!r}: series needs at least one point")
-        normalized.sort()
-        ks = [k for k, _ in normalized]
-        # ks is sorted, so every repeated k sits next to its twin.
-        dupes = sorted({k for k, after in zip(ks, ks[1:]) if k == after})
-        if dupes:
-            raise ValueError(f"{self.label!r}: duplicate k values {dupes}")
-        if self.value_kind is ValueKind.WALL_TIME and self.baseline_k not in set(ks):
-            raise ValueError(
-                f"{self.label!r}: wall-time series has no baseline point at k={self.baseline_k}"
-            )
-        object.__setattr__(self, "points", tuple(normalized))
+        object.__setattr__(self, "points", _sorted_points(self.label, normalized, self.value_kind,
+                                                          self.baseline_k))
 
     def speedup_points(self) -> tuple[tuple[int, float], ...]:
         """The series converted to (k, speedup) pairs.
@@ -132,6 +116,47 @@ class MeasurementSeries:
             return tuple((k, v * k) for k, v in self.points)
         t_base = dict(self.points)[self.baseline_k]
         return tuple((k, t_base / v) for k, v in self.points)
+
+
+def _check_series_fields(label, value_kind, baseline_k) -> None:
+    if not isinstance(label, str) or not label.strip():
+        raise ValueError("series label must be a non-empty string")
+    if not isinstance(value_kind, ValueKind):
+        raise ValueError(f"value_kind must be a ValueKind, got {value_kind!r}")
+    if not metrics._is_count(baseline_k):
+        raise ValueError(f"baseline_k must be an integer >= 1, got {baseline_k!r}")
+
+
+def _sorted_points(label: str, points, value_kind: ValueKind, baseline_k: int) -> tuple:
+    """Checked (k, value) ``points`` sorted by k; raises if a series cannot hold them."""
+    if not points:
+        raise ValueError(f"{label!r}: series needs at least one point")
+    points = sorted(points)
+    ks = list(map(operator.itemgetter(0), points))
+    distinct = set(ks)
+    if len(distinct) < len(ks):
+        # ks is sorted, so every repeated k sits next to its twin.
+        dupes = sorted({k for k, after in zip(ks, ks[1:]) if k == after})
+        raise ValueError(f"{label!r}: duplicate k values {dupes}")
+    if value_kind is ValueKind.WALL_TIME and baseline_k not in distinct:
+        raise ValueError(f"{label!r}: wall-time series has no baseline point at k={baseline_k}")
+    return tuple(points)
+
+
+def _checked_series(label, points, value_kind, baseline_k=1) -> MeasurementSeries:
+    """``MeasurementSeries(label, points, value_kind, baseline_k)``, built in one step.
+
+    Each point's k is a count and its value a finite positive float,
+    already checked by the parser.  The series' own checks run in the
+    constructor's order; one ``__dict__`` update in field order then
+    builds the instance the generated frozen ``__init__`` would.
+    """
+    _check_series_fields(label, value_kind, baseline_k)
+    series = object.__new__(MeasurementSeries)
+    series.__dict__.update(label=label,
+                           points=_sorted_points(label, points, value_kind, baseline_k),
+                           value_kind=value_kind, baseline_k=baseline_k)
+    return series
 
 
 @dataclass(frozen=True)
@@ -300,6 +325,12 @@ def _json_layout(doc, depth: int) -> str:
     return brackets[0] + newline + body + "\n" + "  " * depth + brackets[1]
 
 
+_NON_FINITE = (
+    "JSON cannot carry the non-finite number (inf or nan) in this output; "
+    "--format table or csv shows it"
+)
+
+
 def _json_text(doc) -> str:
     """The one JSON layout every document this package writes uses: strict RFC 8259.
 
@@ -310,10 +341,7 @@ def _json_text(doc) -> str:
     try:
         return _json_layout(doc, 0) + "\n"
     except ValueError:
-        raise DataFormatError(
-            "JSON cannot carry the non-finite number (inf or nan) in this output; "
-            "--format table or csv shows it"
-        ) from None
+        raise DataFormatError(_NON_FINITE) from None
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -424,7 +452,7 @@ def _parse_csv_measurements(text: str) -> list[MeasurementSeries]:
     series = []
     for label, (kind, first_line, points) in groups.items():
         try:
-            series.append(MeasurementSeries(label, tuple(points.items()), kind))
+            series.append(_checked_series(label, tuple(points.items()), kind))
         except ValueError as exc:
             raise DataFormatError(f"line {first_line}: {exc}")
     return series
@@ -487,8 +515,14 @@ def _parse_json_measurements(text: str) -> list[MeasurementSeries]:
         if label in seen:
             raise DataFormatError(f"{where}: duplicate label {label!r}")
         seen.add(label)
+        # The parser checked k, not the values: a value that is not finite
+        # and positive goes to the public constructor, which raises its error
+        # after the label and baseline checks.
+        values = list(map(operator.itemgetter(1), points))
+        checked = all(map(math.isfinite, values)) and min(values, default=1.0) > 0.0
         try:
-            out.append(MeasurementSeries(label, tuple(points), kind, baseline_k))
+            out.append((_checked_series if checked else MeasurementSeries)(
+                label, tuple(points), kind, baseline_k))
         except ValueError as exc:
             raise DataFormatError(f"{where}: {exc}")
     return out
@@ -556,7 +590,7 @@ def analyze(series: MeasurementSeries) -> ScalingReport:
     two points with k >= 2 are available.
     """
     pairs = series.speedup_points()
-    rows = tuple(metrics.MetricRow.from_speedup(k, s) for k, s in pairs)
+    rows = metrics._metric_rows(pairs)
     usable = [(k, s) for k, s in pairs if k >= 2]
     fitted = metrics.fit_alpha(usable) if len(usable) >= 2 else None
     return ScalingReport(series.label, rows, fitted)
@@ -655,10 +689,13 @@ def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[st
     labels, columns = _row_columns(reports)
     cells = [labels]
     for values in columns:
-        if all(issubclass(kind, float) for kind in set(map(type, values))):
+        kinds = set(map(type, values))
+        if all(issubclass(kind, float) for kind in kinds):
             cells.append(map(format, values, repeat(".6g")))  # _fmt_cell's float rule
-        else:
+        elif any(issubclass(kind, (float, type(None))) for kind in kinds):
             cells.append(map(_fmt_cell, values))
+        else:  # neither floats nor None: _fmt_cell's str rule
+            cells.append(map(str, values))
     padded = []
     for name, column in zip(("label", *_ROW_FIELDS), cells):
         column = [name, *column]
@@ -672,6 +709,53 @@ def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[st
                     f"  residual={report.fitted.residual:.6g}"
                 )
     return lines
+
+
+_SORTED_ROW_FIELDS = tuple(sorted(_ROW_FIELDS))
+_sorted_row_values = operator.attrgetter(*_SORTED_ROW_FIELDS)
+
+
+def _reports_json(reports: Sequence[ScalingReport]) -> str:
+    """``_json_text({"reports": [...]})`` of the reports, from one %-template.
+
+    Every scalar of the document, in document order, goes through one
+    encoder call; the text splits on its item separator into the values of
+    the template (see :func:`_json_records`).  A label or fit that is not
+    a scalar goes through ``_json_text`` itself.
+    """
+    if not reports:
+        return '{\n  "reports": []\n}\n'
+    # A report is {"fitted", "label", "rows"} two levels in: split its
+    # template at the rows, a list of records three levels in.
+    head, tail = _record_template(("fitted", "label", "rows"), 2).rsplit("%s", 1)
+    heads = (head % ("%s", "%s"), head % (_record_template(("alpha", "residual"), 3), "%s"))
+    row = _record_template(_SORTED_ROW_FIELDS, 4)
+    values, templates = [], []
+    for report in reports:
+        fitted, rows = report.fitted, report.rows
+        if fitted is None:
+            values += (None, report.label)
+        else:
+            values += (fitted.model.alpha, fitted.residual, report.label)
+        values += chain.from_iterable(map(_sorted_row_values, rows))
+        row_list = "[\n        " + ",\n        ".join(repeat(row, len(rows))) + "\n      ]"
+        templates.append(heads[fitted is not None] + (row_list if rows else "[]") + tail)
+    if not all(issubclass(kind, _SCALARS) for kind in set(map(type, values))):
+        return _json_text({"reports": [
+            {
+                "label": report.label,
+                "rows": [dict(zip(_ROW_FIELDS, _row_values(row))) for row in report.rows],
+                "fitted": None
+                if report.fitted is None
+                else {"alpha": report.fitted.model.alpha, "residual": report.fitted.residual},
+            }
+            for report in reports
+        ]})
+    try:
+        cells = "".join(_encoder(0)(values, 0))[1:-1].split(",\n")
+    except ValueError:
+        raise DataFormatError(_NON_FINITE) from None
+    return ('{\n  "reports": [\n    ' + ",\n    ".join(templates) + "\n  ]\n}\n") % tuple(cells)
 
 
 def emit_reports(reports, format: str = "table", include_fit: bool = False) -> str:
@@ -698,16 +782,7 @@ def emit_reports(reports, format: str = "table", include_fit: bool = False) -> s
             zip(labels, ks, speedups, repeat(ValueKind.SPEEDUP.value), *derived),
         )
     if fmt == "json":
-        return _json_text({"reports": [
-            {
-                "label": report.label,
-                "rows": [dict(zip(_ROW_FIELDS, _row_values(row))) for row in report.rows],
-                "fitted": None
-                if report.fitted is None
-                else {"alpha": report.fitted.model.alpha, "residual": report.fitted.residual},
-            }
-            for report in reports
-        ]})
+        return _reports_json(reports)
     raise ValueError(f"unknown report format {format!r} (expected table, csv or json)")
 
 

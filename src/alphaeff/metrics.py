@@ -131,14 +131,16 @@ def alpha_eff(s: float, k: float) -> EffectiveParallelization:
     gives a negative value tagged "slowdown", s > k gives a value above
     1 tagged "superlinear".
     """
-    s = _check_finite("s", s)
-    k = _check_finite("k", k)
-    if k < 2:
-        raise ValueError(f"alpha_eff needs k >= 2, got {k}")
-    if s <= 0.0:
-        raise ValueError(f"speedup must be positive, got {s}")
-    value = (k / (k - 1.0)) * (s - 1.0) / s
-    return EffectiveParallelization(value, classify_regime(s, k))
+    sf = _check_finite("s", s)
+    kf = _check_finite("k", k)
+    if kf < 2:
+        raise ValueError(f"alpha_eff needs k >= 2, got {kf}")
+    if sf <= 0.0:
+        raise ValueError(f"speedup must be positive, got {sf}")
+    value = (kf / (kf - 1.0)) * (sf - 1.0) / sf
+    # The regime compares the numbers as given: float() rounds an int past 2**53.
+    regime = classify_regime(s if isinstance(s, int) else sf, k if isinstance(k, int) else kf)
+    return EffectiveParallelization(value, regime)
 
 
 def karp_flatt(s: float, k: float) -> float:
@@ -291,6 +293,23 @@ def fit_alpha(points) -> FitResult:
     return FitResult(AmdahlModel(alpha), residual)
 
 
+def _derived(k: int, s: float) -> tuple[float, EffectiveParallelization | None, float | None]:
+    """Efficiency, alpha_eff and serial fraction of a checked count k and number s.
+
+    The float operations of efficiency() and alpha_eff(), checked once: a
+    speedup that is not finite and positive as a float raises efficiency()'s
+    error.  The regime compares s and k as given, as MetricRow.regime does.
+    """
+    sf = float(s)
+    if not 0.0 < sf < math.inf:
+        efficiency(sf, k)  # raises the check's own error
+    kf = float(k)
+    if k < 2:
+        return sf / kf, None, None
+    value = (kf / (kf - 1.0)) * (sf - 1.0) / sf
+    return sf / kf, EffectiveParallelization(value, classify_regime(s, k)), 1.0 - value
+
+
 @dataclass(frozen=True)
 class MetricRow:
     """One processor count's worth of metrics, all derived from ``(k, speedup)``.
@@ -306,21 +325,13 @@ class MetricRow:
     serial_fraction: float | None = field(init=False)
 
     def __post_init__(self):
-        k = self.k
+        k, s = self.k, self.speedup
         if not _is_count(k):
             raise ValueError(f"k must be an integer >= 1, got {k!r}")
-        if not _is_number(self.speedup):
-            raise ValueError(f"speedup must be a number, got {self.speedup!r}")
-        # The float operations of efficiency() and alpha_eff(), checked once.
-        s = float(self.speedup)
-        if not 0.0 < s < math.inf:
-            efficiency(s, k)  # raises the check's own error
-        kf = float(k)
-        alpha = serial = None
-        if k >= 2:
-            value = (kf / (kf - 1.0)) * (s - 1.0) / s
-            alpha, serial = EffectiveParallelization(value, classify_regime(s, kf)), 1.0 - value
-        object.__setattr__(self, "efficiency", s / kf)
+        if not _is_number(s):
+            raise ValueError(f"speedup must be a number, got {s!r}")
+        efficiency, alpha, serial = _derived(k, s)
+        object.__setattr__(self, "efficiency", efficiency)
         object.__setattr__(self, "alpha_eff", alpha)
         object.__setattr__(self, "serial_fraction", serial)
 
@@ -331,4 +342,24 @@ class MetricRow:
     @property
     def regime(self) -> str:
         """"normal", "slowdown" (s < 1) or "superlinear" (s > k)."""
-        return classify_regime(self.speedup, self.k)
+        alpha = self.alpha_eff
+        return classify_regime(self.speedup, self.k) if alpha is None else alpha.regime
+
+
+def _metric_rows(pairs: Iterable[tuple[int, float]]) -> tuple[MetricRow, ...]:
+    """``MetricRow(k, s)`` for each pair of a count k and a float s, built in one step.
+
+    The generated frozen ``__init__`` and ``__post_init__`` set each field
+    with ``object.__setattr__``; on pairs that pass its checks, one
+    ``__dict__`` update in field order builds the same row.  A speedup
+    that is not finite and positive raises at its own row, as it would there.
+    """
+    rows = []
+    new = object.__new__
+    for k, s in pairs:
+        efficiency, alpha, serial = _derived(k, s)
+        row = new(MetricRow)
+        row.__dict__.update(k=k, speedup=s, efficiency=efficiency, alpha_eff=alpha,
+                            serial_fraction=serial)
+        rows.append(row)
+    return tuple(rows)

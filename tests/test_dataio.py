@@ -7,6 +7,7 @@ parallelization (8/7)(1 - 1/6.96) = 596/609, serial fraction 13/609.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from alphaeff import dataio, metrics
@@ -367,6 +368,23 @@ class TestMeasurementSeries:
 
 # ----------------------------------------------------------------- analyze
 
+_NEAR_2_53 = st.integers(2**53 - 4, 2**53 + 8)
+
+
+@st.composite
+def _any_series(draw):
+    """A series of any kind, with k and values where rounding and the float range bite."""
+    kind = draw(st.sampled_from(ValueKind))
+    ks = draw(st.sets(st.one_of(st.integers(1, 64), _NEAR_2_53, st.integers(1, sys.maxsize)),
+                      min_size=1, max_size=8))
+    if kind is ValueKind.WALL_TIME:
+        ks.add(1)
+    values = st.one_of(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+                       st.floats(min_value=0.05, max_value=20.0),
+                       st.builds(float, _NEAR_2_53))
+    return MeasurementSeries("s", tuple((k, draw(values)) for k in sorted(ks)), kind)
+
+
 class TestAnalyze:
     def test_linpack_y_mp_serial_fractions(self):
         fixture = load_fixture("linpack_architectures")
@@ -412,6 +430,172 @@ class TestAnalyze:
                 metrics.MetricRow.from_speedup(2, 1.8))
         with pytest.raises(ValueError, match="ascending"):
             ScalingReport("x", rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(series=_any_series())
+    @example(series=MeasurementSeries("edge", ((1, 1.0), (2**53 + 3, float(2**53 + 4))),
+                                      ValueKind.SPEEDUP))
+    @example(series=MeasurementSeries("over", ((1, 1e300), (2, 1e-300)), ValueKind.WALL_TIME))
+    @example(series=MeasurementSeries("under", ((1, 1e-300), (2, 1e300)), ValueKind.WALL_TIME))
+    @example(series=MeasurementSeries("eff", ((1, 1.0), (4, 1e308)), ValueKind.EFFICIENCY))
+    def test_rows_equal_the_public_constructor(self, series):
+        try:
+            expected = tuple(metrics.MetricRow(k, s) for k, s in series.speedup_points())
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                analyze(series)
+            assert str(info.value) == str(exc)
+            return
+        rows = analyze(series).rows
+        assert rows == expected and repr(rows) == repr(expected) and hash(rows) == hash(expected)
+        for row, want in zip(rows, expected):
+            assert list(vars(row)) == list(vars(want)) and dataclasses.replace(row) == want
+            assert type(row.alpha_eff) is type(want.alpha_eff)
+            assert row.regime == want.regime == metrics.classify_regime(row.speedup, row.k)
+            if row.alpha_eff is not None:
+                assert row.alpha_eff.regime == want.alpha_eff.regime == row.regime
+
+    @pytest.mark.parametrize("points, kind, message", [
+        (((1, 1e300), (2, 1e-300)), ValueKind.WALL_TIME, "s must be finite, got inf"),
+        (((1, 1e-300), (2, 1e300)), ValueKind.WALL_TIME, "speedup must be positive, got 0.0"),
+        (((1, 1.0), (4, 1e308)), ValueKind.EFFICIENCY, "s must be finite, got inf"),
+    ], ids=["speedup-overflows", "speedup-underflows", "efficiency-overflows"])
+    def test_speedup_past_the_float_range_raises_efficiency_error(self, points, kind, message):
+        with pytest.raises(ValueError) as info:
+            analyze(MeasurementSeries("x", points, kind))
+        assert str(info.value) == message
+
+
+# ----------------------------------------------- each parsed point checked once
+
+_BIG_K = 2**53 + 3
+
+
+def _series_json(*entries):
+    return json.dumps({"series": [
+        {"label": label, "kind": kind, "points": [{"k": k, "value": v} for k, v in points], **extra}
+        for label, kind, points, extra in entries]})
+
+
+def _json_with(value="1.5", label='"a"', baseline=""):
+    """One speedup series at k = 2, written by hand so that it can hold NaN and Infinity."""
+    return ('{"series": [{"label": %s, "kind": "speedup", %s"points": [{"k": 2, "value": %s}]}]}'
+            % (label, baseline, value))
+
+
+_CSV_HEAD = "label,k,value,kind\n"
+_SPEEDUP = ValueKind.SPEEDUP
+
+# Each input's parse as it was before parsed points were checked only once:
+# the series it gives, or the DataFormatError message it raises.
+_PARSE_EDGES = [
+    ("csv", _CSV_HEAD + f"x,1,1.0,speedup\nx,{_BIG_K},2.0,speedup\n",
+     [MeasurementSeries("x", ((1, 1.0), (_BIG_K, 2.0)), _SPEEDUP)]),
+    ("csv", _CSV_HEAD + f"x,1,1.0,speedup\nx,{sys.maxsize + 1},2.0,speedup\n",
+     "line 3: k must be an integer >= 1, got 9223372036854775808"),
+    ("csv", _CSV_HEAD + "x,True,1.0,speedup\n", "line 2: k must be an integer, got 'True'"),
+    ("csv", _CSV_HEAD + "x,2,True,speedup\n", "line 2: value must be a number, got 'True'"),
+    ("csv", _CSV_HEAD + "x,2,nan,speedup\n", "line 2: value must be positive, got nan"),
+    ("csv", _CSV_HEAD + "x,2,Infinity,speedup\n", "line 2: value must be positive, got inf"),
+    ("csv", _CSV_HEAD + "x,2,0,speedup\n", "line 2: value must be positive, got 0.0"),
+    ("csv", _CSV_HEAD + "x,2,-1.5,speedup\n", "line 2: value must be positive, got -1.5"),
+    ("csv", _CSV_HEAD + "x,2,1.5,speedup\nx,2,1.6,speedup\n", "line 3: duplicate k=2 for label 'x'"),
+    ("csv", _CSV_HEAD + "x,2,5.0,time\nx,4,3.0,time\n",
+     "line 2: 'x': wall-time series has no baseline point at k=1"),
+    ("csv", _CSV_HEAD + ",2,1.5,speedup\n", "line 2: series label must be a non-empty string"),
+    ("json", _series_json(("a", "speedup", [(1, 1.0), (_BIG_K, 2.0)], {})),
+     [MeasurementSeries("a", ((1, 1.0), (_BIG_K, 2.0)), _SPEEDUP)]),
+    ("json", _series_json(("a", "speedup", [(1, 1.0), (sys.maxsize + 1, 2.0)], {})),
+     "series[0].points[1]: k must be an integer >= 1, got 9223372036854775808"),
+    ("json", _series_json(("a", "speedup", [(True, 1.0)], {})),
+     "series[0].points[0]: k must be an integer >= 1, got True"),
+    ("json", _series_json(("a", "speedup", [("2", 1.0)], {})),
+     "series[0].points[0]: k must be an integer >= 1, got '2'"),
+    ("json", _json_with("true"), "series[0].points[0]: value must be a number"),
+    ("json", _json_with('"1.5"'), "series[0].points[0]: value must be a number"),
+    ("json", _json_with("NaN"), "series[0]: 'a': values must be positive, got nan at k=2"),
+    ("json", _json_with("Infinity"), "series[0]: 'a': values must be positive, got inf at k=2"),
+    ("json", _json_with("-Infinity"), "series[0]: 'a': values must be positive, got -inf at k=2"),
+    ("json", _json_with("0"), "series[0]: 'a': values must be positive, got 0.0 at k=2"),
+    ("json", _json_with("-1.5"), "series[0]: 'a': values must be positive, got -1.5 at k=2"),
+    ("json", _series_json(("a", "speedup", [(2, 1.5), (2, 1.6)], {})),
+     "series[0]: 'a': duplicate k values [2]"),
+    ("json", _series_json(("a", "time", [(2, 5.0), (4, 3.0)], {})),
+     "series[0]: 'a': wall-time series has no baseline point at k=1"),
+    ("json", _series_json(("a", "time", [(2, 5.0), (4, 3.0)], {"baseline_k": 3})),
+     "series[0]: 'a': wall-time series has no baseline point at k=3"),
+    ("json", _series_json(("a", "time", [(1, 2.0), (2, 1.0)], {"baseline_k": 2})),
+     [MeasurementSeries("a", ((1, 2.0), (2, 1.0)), ValueKind.WALL_TIME, 2)]),
+    ("json", _series_json(("a", "speedup", [], {})), "series[0]: 'a': series needs at least one point"),
+    ("json", _json_with(label='""'), "series[0]: series label must be a non-empty string"),
+    ("json", _json_with(label='" "'), "series[0]: series label must be a non-empty string"),
+    ("json", _json_with(label="1"), "series[0]: label must be a string, got 1"),
+    ("json", _json_with(baseline='"baseline_k": 0, '),
+     "series[0]: baseline_k must be an integer >= 1, got 0"),
+    ("json", _json_with(baseline='"baseline_k": true, '), "series[0]: baseline_k must be an integer"),
+    ("json", _json_with(baseline='"baseline_k": 1.5, '), "series[0]: baseline_k must be an integer"),
+    ("json", _json_with(baseline=f'"baseline_k": {sys.maxsize + 1}, '),
+     "series[0]: baseline_k must be an integer >= 1, got 9223372036854775808"),
+    # The values are checked after the label, the duplicate label and the baseline.
+    ("json", _json_with("NaN", label='""'), "series[0]: series label must be a non-empty string"),
+    ("json", _json_with("NaN", label="1"), "series[0]: label must be a string, got 1"),
+    ("json", '{"series": [{"label": "a", "kind": "speedup", "points": [{"k": 2, "value": 1.5}]}, '
+             '{"label": "a", "kind": "speedup", "points": [{"k": 2, "value": NaN}]}]}',
+     "series[1]: duplicate label 'a'"),
+    ("json", _json_with("NaN", baseline='"baseline_k": 0, '),
+     "series[0]: baseline_k must be an integer >= 1, got 0"),
+    # ... and before duplicate k, in the order the points are given.
+    ("json", '{"series": [{"label": "a", "kind": "speedup", "points": '
+             '[{"k": 2, "value": 1.5}, {"k": 2, "value": NaN}]}]}',
+     "series[0]: 'a': values must be positive, got nan at k=2"),
+    ("json", '{"series": [{"label": "a", "kind": "speedup", "points": '
+             '[{"k": 3, "value": -1}, {"k": 2, "value": NaN}]}]}',
+     "series[0]: 'a': values must be positive, got -1.0 at k=3"),
+]
+
+
+class TestCheckOnce:
+    @pytest.mark.parametrize("fmt, text, expected", _PARSE_EDGES)
+    def test_edge_inputs_parse_as_before(self, fmt, text, expected):
+        if isinstance(expected, str):
+            with pytest.raises(DataFormatError) as info:
+                parse_measurements(text, fmt)
+            assert str(info.value) == expected
+        else:
+            series = parse_measurements(text, fmt)
+            assert series == expected and repr(series) == repr(expected)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_point_is_checked_once(self, fmt, monkeypatch):
+        n = 300
+        series = [MeasurementSeries(f"s{j}", tuple((k, 1.0 + k / 64) for k in range(1, n // 3 + 1)),
+                                    kind)
+                  for j, kind in enumerate(ValueKind)]
+        text = emit_measurements(series, fmt)
+        calls = 0
+        is_count = metrics._is_count
+
+        def counted(value):
+            nonlocal calls
+            calls += 1
+            return is_count(value)
+
+        monkeypatch.setattr(metrics, "_is_count", counted)
+        parsed = parse_measurements(text, fmt)
+        reports = [analyze(s) for s in parsed]
+        monkeypatch.undo()
+        assert parsed == series and reports == [analyze(s) for s in series]
+        # One check per point, and one per series for its baseline.
+        assert calls <= n + len(series)
+
+    def test_parsed_series_equal_the_public_constructor(self):
+        for fixture_id in FIXTURE_IDS:
+            for series in load_fixture(fixture_id).series:
+                for fmt in ("csv", "json"):
+                    (back,) = parse_measurements(emit_measurements(series, fmt), fmt)
+                    assert back == series and repr(back) == repr(series)
+                    assert hash(back) == hash(series) and list(vars(back)) == list(vars(series))
+                    assert dataclasses.replace(back) == series
 
 
 # ---------------------------------------------------------------- fixtures
@@ -943,7 +1127,7 @@ class TestJsonText:
         assert str(info.value) == str(expected.value)
 
 
-# ------------------------------------------ table and CSV, cell by cell
+# ---------------------------------------------- report writers, cell by cell
 
 def _cell(value) -> str:
     if value is None:
@@ -1000,11 +1184,35 @@ def _scaling_reports(draw):
 _REPORT_LISTS = st.lists(_scaling_reports(), max_size=4)
 
 
+def _per_cell_json(reports):
+    """The report JSON as it was, a dict per row through json.dumps: the oracle."""
+    return json.dumps({"reports": [
+        {"label": report.label,
+         "rows": [{name: getattr(row, name) for name in dataio._ROW_FIELDS} for row in report.rows],
+         "fitted": None if report.fitted is None else
+         {"alpha": report.fitted.model.alpha, "residual": report.fitted.residual}}
+        for report in reports
+    ]}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _assert_json_matches_per_cell(reports):
+    try:
+        expected = _per_cell_json(reports)
+    except ValueError:  # a non-finite number
+        with pytest.raises(DataFormatError) as info:
+            emit_reports(reports, "json")
+        assert str(info.value) == _NON_FINITE_MESSAGE
+    else:
+        for include_fit in (False, True):  # JSON always carries the fit
+            assert emit_reports(reports, "json", include_fit=include_fit) == expected
+
+
 def _assert_writers_match_per_cell(reports):
     for fmt in ("table", "csv"):
         for include_fit in (False, True):
             assert emit_reports(reports, fmt, include_fit=include_fit) == _per_cell_reports(
                 reports, fmt, include_fit)
+    _assert_json_matches_per_cell(reports)
 
 
 class TestReportWriters:
@@ -1017,6 +1225,12 @@ class TestReportWriters:
         for reports in ([], [ScalingReport("none", ())],
                         [analyze(s) for s in _edge_series()["comma-quote-label"]]):
             _assert_writers_match_per_cell(reports)
+
+    @pytest.mark.parametrize("label", [["a"], ("a", "b"), {"x": [1]}, [], 7, None])
+    def test_json_of_labels_that_are_not_strings(self, label):
+        # ScalingReport does not check its label; JSON writes any it can carry.
+        _assert_json_matches_per_cell(
+            [ScalingReport(label, (metrics.MetricRow(1, 1.0), metrics.MetricRow(2, 1.5)))])
 
 
 @pytest.mark.usefixtures("no_c_encoder")

@@ -388,6 +388,13 @@ class TestFitAlpha:
 # -------------------------------------------------------------- MetricRow
 
 class TestMetricRow:
+    def test_regime_compares_the_exact_k(self):
+        # float(2**53 + 3) rounds to 2**53 + 4, which would make s equal to k.
+        k, s = 2**53 + 3, float(2**53 + 4)
+        row = MetricRow(k, s)
+        assert alpha_eff(s, k).regime == SUPERLINEAR
+        assert row.alpha_eff.regime == row.regime == SUPERLINEAR
+
     def test_from_speedup_consistency(self):
         row = MetricRow.from_speedup(3, 10.0 / 7.0)
         assert row.efficiency == row.speedup / 3
