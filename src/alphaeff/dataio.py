@@ -26,13 +26,13 @@ import io
 import json
 import math
 import operator
+import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from . import metrics, timeline
 
@@ -230,35 +230,6 @@ def _as_text(source) -> str:
     raise TypeError(f"expected text, bytes or a readable object, got {type(source).__name__}")
 
 
-_ENCODERS: dict = {}  # depth -> its encoder; see _encoder
-
-
-def _encoder(depth: int):
-    """The cached encoder for ``depth``: ``encode(doc, 0)`` returns the chunks of ``doc``.
-
-    Its item separator carries the newline and the indent, so one call lays
-    out a whole container of scalars one level deeper than its brackets.
-    The 0 is the C encoder's indent level, unused without an indent, and
-    a false ``_one_shot`` for the fallback's ``JSONEncoder.iterencode``.
-    """
-    encode = _ENCODERS.get(depth)
-    if encode is None:
-        separator = ",\n" + "  " * depth
-        if json.encoder.c_make_encoder is None:
-            encode = json.JSONEncoder(
-                separators=(separator, ": "), sort_keys=True, allow_nan=False
-            ).iterencode
-        else:
-            # No markers: every container this encoder sees holds only
-            # scalars, so no cycle can pass through it.
-            encode = json.encoder.c_make_encoder(
-                None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-                None, ": ", separator, True, False, False,
-            )
-        _ENCODERS[depth] = encode
-    return encode
-
-
 _SCALARS = (str, int, float, type(None))  # bool is an int
 
 
@@ -272,59 +243,6 @@ def _record_template(names: tuple[str, ...], depth: int) -> str:
     ) + "\n" + "  " * depth + "}"
 
 
-def _json_records(records, depth: int) -> str | None:
-    """The items of a list of same-key dicts of scalars, laid out ``depth`` levels in.
-
-    None when ``records`` is not such a list.  One encoder call writes
-    every value, in sorted-key order; no encoded scalar holds a newline,
-    so the text splits on the item separator into the values of one
-    record template repeated for every record.
-    """
-    first = records[0]
-    if not (isinstance(first, dict) and first and all(map(isinstance, records, repeat(dict)))):
-        return None
-    keys = first.keys()
-    if not all(map(keys.__eq__, map(dict.keys, records))):
-        return None
-    names = tuple(sorted(keys))
-    values = list(map(operator.itemgetter(*names), records))
-    if len(names) > 1:  # itemgetter of one name gives the value itself, not a 1-tuple
-        values = list(chain.from_iterable(values))
-    if not all(issubclass(kind, _SCALARS) for kind in set(map(type, values))):
-        return None
-    cells = "".join(_encoder(0)(values, 0))[1:-1].split(",\n")
-    template = (",\n" + "  " * depth).join(repeat(_record_template(names, depth), len(records)))
-    return template % tuple(cells)
-
-
-def _json_layout(doc, depth: int) -> str:
-    """``doc`` as ``json.dumps(indent=2, sort_keys=True)`` writes it ``depth`` levels in.
-
-    Dict keys are str, as in every document this package writes.
-    """
-    if isinstance(doc, dict):
-        brackets, items = "{}", doc.values()
-    elif isinstance(doc, (list, tuple)):
-        brackets, items = "[]", doc
-    else:
-        return "".join(_encoder(depth)(doc, 0))
-    if not doc:
-        return brackets
-    newline = "\n" + "  " * (depth + 1)
-    if all(map(isinstance, items, repeat(_SCALARS))):
-        body = "".join(_encoder(depth + 1)(doc, 0))[1:-1]
-    elif brackets == "{}":
-        key = json.encoder.encode_basestring_ascii
-        body = ("," + newline).join(
-            key(k) + ": " + _json_layout(v, depth + 1) for k, v in sorted(doc.items())
-        )
-    else:
-        body = _json_records(doc, depth + 1)
-        if body is None:
-            body = ("," + newline).join(_json_layout(v, depth + 1) for v in doc)
-    return brackets[0] + newline + body + "\n" + "  " * depth + brackets[1]
-
-
 _NON_FINITE = (
     "JSON cannot carry the non-finite number (inf or nan) in this output; "
     "--format table or csv shows it"
@@ -334,12 +252,11 @@ _NON_FINITE = (
 def _json_text(doc) -> str:
     """The one JSON layout every document this package writes uses: strict RFC 8259.
 
-    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False)`` plus a newline, written through one cached encoder
-    per depth (see :func:`_json_layout`).
+    The text is ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
+    plus a newline.
     """
     try:
-        return _json_layout(doc, 0) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise DataFormatError(_NON_FINITE) from None
 
@@ -553,15 +470,20 @@ def emit_measurements(series, format: str = "csv") -> str:
     """Serialize series to the measurement CSV or JSON schema.
 
     Inverse of :func:`parse_measurements`; float values are written with
-    ``repr`` so a parse round-trip reproduces them exactly.  Note the
-    CSV schema has no baseline_k column (baseline is k=1 by convention);
-    use JSON for wall-time series with a non-default baseline.
+    ``repr`` so a parse round-trip reproduces them exactly.  CSV refuses a
+    series it would not read back as written (a baseline_k other than 1, a
+    label with surrounding whitespace or one that starts a ``#`` line): use JSON.
     """
     if isinstance(series, MeasurementSeries):
         series = [series]
     series = list(series)
     fmt = format.strip().lower()
     if fmt == "csv":
+        for s in series:
+            if (s.baseline_k != 1 or s.label != s.label.strip()
+                    or _csv_text((s.label,), ()).startswith("#")):  # a quoted one is data
+                raise ValueError(f"{s.label!r}: the measurement CSV has no baseline_k, strips "
+                                 "labels and skips '#' lines; use JSON for this series")
         return _csv_text(
             _REQUIRED_COLUMNS,
             ([s.label, k, repr(v), s.value_kind.value] for s in series for k, v in s.points),
@@ -608,7 +530,9 @@ SCENARIO_IDS = ("classic", "realistic")
 
 
 def _read_bundled(name: str) -> str:
-    return resources.files(__package__).joinpath("data", name).read_text("utf-8")
+    """The bundled data file ``name``, read through the loader that imported this module."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __spec__.loader.get_data(path).decode("utf-8")
 
 
 def load_fixture(fixture_id: str) -> Fixture:
@@ -719,9 +643,9 @@ def _reports_json(reports: Sequence[ScalingReport]) -> str:
     """``_json_text({"reports": [...]})`` of the reports, from one %-template.
 
     Every scalar of the document, in document order, goes through one
-    encoder call; the text splits on its item separator into the values of
-    the template (see :func:`_json_records`).  A label or fit that is not
-    a scalar goes through ``_json_text`` itself.
+    ``json.dumps`` call; no encoded scalar holds its newline item separator,
+    so the text splits on it into the values of the template.  A label or
+    fit that is not a scalar goes through ``_json_text`` itself.
     """
     if not reports:
         return '{\n  "reports": []\n}\n'
@@ -752,7 +676,7 @@ def _reports_json(reports: Sequence[ScalingReport]) -> str:
             for report in reports
         ]})
     try:
-        cells = "".join(_encoder(0)(values, 0))[1:-1].split(",\n")
+        cells = json.dumps(values, separators=(",\n", ": "), allow_nan=False)[1:-1].split(",\n")
     except ValueError:
         raise DataFormatError(_NON_FINITE) from None
     return ('{\n  "reports": [\n    ' + ",\n    ".join(templates) + "\n  ]\n}\n") % tuple(cells)

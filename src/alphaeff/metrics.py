@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "NORMAL",

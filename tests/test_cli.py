@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from unittest import mock
 
 import pytest
@@ -817,7 +818,6 @@ class TestJsonWithoutCEncoder:
         with_c = output()
         assert with_c[0] == 0
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        monkeypatch.setattr(dataio, "_ENCODERS", {})
         assert output() == with_c
 
 
@@ -918,6 +918,33 @@ class TestPlumbing:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_bundled_data_loads_from_a_zip_without_importlib_resources(self, tmp_path):
+        # The package's own loader reads its data files, from a directory
+        # or, as here, from a zip; without site (-S) nothing else imports
+        # importlib.resources.
+        package = os.path.dirname(dataio.__file__)
+        archive = tmp_path / "alphaeff.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for root, _, files in os.walk(package):
+                for name in files:
+                    if not name.endswith(".pyc"):
+                        path = os.path.join(root, name)
+                        zf.write(path, os.path.relpath(path, os.path.dirname(package)))
+        code = ("import json, sys, alphaeff.cli; from alphaeff import dataio; "
+                "print(json.dumps([dataio.__file__.startswith(sys.argv[1]), "
+                "'importlib.resources' in sys.modules, "
+                "[repr(dataio.load_fixture(f)) for f in dataio.FIXTURE_IDS], "
+                "[repr(dataio.scenario_fixture(n)) for n in dataio.SCENARIO_IDS]]))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, str(archive)],
+                              env={**os.environ, "PYTHONPATH": str(archive)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            True, False,
+            [repr(dataio.load_fixture(f)) for f in dataio.FIXTURE_IDS],
+            [repr(dataio.scenario_fixture(n)) for n in dataio.SCENARIO_IDS],
+        ]
 
 
 # ------------------------------------------------------ exit-code contract

@@ -760,9 +760,11 @@ class TestEmitMeasurements:
         assert back.points == s.points
 
     def test_csv_round_trip_label_spanning_lines(self):
-        # A blank line and a '#' line inside a quoted field are data.
+        # A blank line and a '#' line inside a quoted field are data, and
+        # so is a quoted field that starts with '#'.
         series = [MeasurementSeries('a\n\n# b, "c"', ((1, 1.0), (2, 1.8)), ValueKind.SPEEDUP),
-                  MeasurementSeries("d", ((1, 1.0),), ValueKind.SPEEDUP)]
+                  MeasurementSeries("d", ((1, 1.0),), ValueKind.SPEEDUP),
+                  MeasurementSeries("#e,f", ((1, 1.0),), ValueKind.SPEEDUP)]
         assert parse_measurements(emit_measurements(series)) == series
 
     def test_json_round_trip(self):
@@ -784,6 +786,24 @@ class TestEmitMeasurements:
         f = load_fixture("audio_radar")
         text = emit_measurements(f.series)
         assert tuple(parse_measurements(text)) == f.series
+
+    # The CSV has no baseline_k column, and its parser strips fields and
+    # skips '#' lines: each of these series would come back changed or not
+    # at all, so CSV refuses it and JSON carries it.
+    @pytest.mark.parametrize("series", [
+        MeasurementSeries("solver", ((1, 10.0), (2, 4.0), (4, 2.0)), ValueKind.WALL_TIME,
+                          baseline_k=2),
+        MeasurementSeries(" a", ((1, 1.0), (2, 1.5)), ValueKind.SPEEDUP),
+        MeasurementSeries("#x", ((1, 1.0), (2, 1.5)), ValueKind.SPEEDUP),
+    ], ids=["baseline-k", "padded-label", "comment-label"])
+    def test_csv_refuses_a_series_it_cannot_carry(self, series):
+        ok = MeasurementSeries("ok", ((1, 1.0),), ValueKind.SPEEDUP)
+        with pytest.raises(ValueError) as info:
+            emit_measurements([ok, series])
+        assert str(info.value) == (
+            f"{series.label!r}: the measurement CSV has no baseline_k, strips labels and "
+            "skips '#' lines; use JSON for this series")
+        assert parse_measurements(emit_measurements([ok, series], "json"), "json") == [ok, series]
 
 
 # ------------------------------------------------------------ emit_reports
@@ -1013,7 +1033,6 @@ class TestPinnedReportBytes:
 def no_c_encoder(monkeypatch):
     """The JSON writer's fallback, for an interpreter built without ``_json``."""
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    monkeypatch.setattr(dataio, "_ENCODERS", {})
 
 
 @pytest.mark.usefixtures("no_c_encoder")
@@ -1028,10 +1047,27 @@ class TestPinnedReportBytesWithoutCEncoder:
         series = load_fixture("audio_radar").series
         text = emit_measurements(series, format="json")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
-        # Every cached encoder is a pure-Python JSONEncoder's.
-        assert dataio._ENCODERS and all(
-            isinstance(getattr(e, "__self__", None), json.JSONEncoder)
-            for e in dataio._ENCODERS.values())
+
+
+def test_report_json_looks_up_the_c_encoder_at_each_call(monkeypatch):
+    # So the no-C-encoder tests above really take the fallback: nothing
+    # may hold on to the encoder from import time.
+    reports = [analyze(s) for s in load_fixture("audio_radar").series]
+    with_c = emit_reports(reports, "json")  # fills any cache a first call would
+    c_make_encoder = json.encoder.c_make_encoder
+    assert c_make_encoder is not None
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return c_make_encoder(*args)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counted)
+    assert emit_reports(reports, "json") == with_c
+    assert calls > 0
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert emit_reports(reports, "json") == with_c
 
 
 # ------------------------------------------------------------- JSON layout
