@@ -4,8 +4,10 @@
 The harness calibrates a busy-spin kernel to wall time, splits a
 synthetic workload into a serial part plus equal parallel chunks,
 runs the chunks in real worker processes, and reports the measured
-scaling.  Everything here is honest wall-clock measurement: expect
-noise, and expect oversubscription to hurt.
+scaling.  Each measured T(k) is printed beside the time its plan
+models at the calibrated spin rate.  Everything here is honest
+wall-clock measurement: expect noise, and expect oversubscription to
+hurt.
 """
 
 from alphaeff import (
@@ -15,6 +17,7 @@ from alphaeff import (
     calibrate,
     emit_report,
     run_synthetic,
+    simulate,
 )
 
 
@@ -42,7 +45,8 @@ def main():
           f"best of {workload.repetitions}...")
     series = run_synthetic(workload)
     for k, seconds in series.points:
-        print(f"  k={k}: {seconds:.4f}s")
+        modelled = simulate(workload.plan(k), k).t_total * target_s / units
+        print(f"  k={k}: {seconds:.4f}s (modelled {modelled:.4f}s)")
     print()
 
     report = analyze(series)

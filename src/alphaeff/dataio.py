@@ -473,17 +473,22 @@ def emit_measurements(series, format: str = "csv") -> str:
     ``repr`` so a parse round-trip reproduces them exactly.  CSV refuses a
     series it would not read back as written (a baseline_k other than 1, a
     label with surrounding whitespace or one that starts a ``#`` line): use JSON.
+    Neither format takes two series with one label.
     """
     if isinstance(series, MeasurementSeries):
         series = [series]
     series = list(series)
     fmt = format.strip().lower()
+    labels = set()
+    for s in series:
+        if s.label in labels:
+            raise ValueError(f"{s.label!r}: two series share this label; neither format reads them back")
+        labels.add(s.label)
+        if fmt == "csv" and (s.baseline_k != 1 or s.label != s.label.strip()
+                             or _csv_text((s.label,), ()).startswith("#")):  # a quoted one is data
+            raise ValueError(f"{s.label!r}: the measurement CSV has no baseline_k, strips "
+                             "labels and skips '#' lines; use JSON for this series")
     if fmt == "csv":
-        for s in series:
-            if (s.baseline_k != 1 or s.label != s.label.strip()
-                    or _csv_text((s.label,), ()).startswith("#")):  # a quoted one is data
-                raise ValueError(f"{s.label!r}: the measurement CSV has no baseline_k, strips "
-                                 "labels and skips '#' lines; use JSON for this series")
         return _csv_text(
             _REQUIRED_COLUMNS,
             ([s.label, k, repr(v), s.value_kind.value] for s in series for k, v in s.points),

@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 
 from .dataio import MeasurementSeries, ValueKind, _load_json
 from .metrics import _is_count, _is_number
+from .timeline import SegmentKind, Timeline, control, parallel_chunk, sequential
 
 __all__ = [
     "AMDAHL_OVERHEAD_RANGE",
@@ -124,7 +125,8 @@ def calibrate(target_duration: float) -> int:
 class SyntheticWorkload:
     """A synthetic run plan: how much work, how parallel, at which k.
 
-    ``total_work`` is in spin units (see :func:`calibrate`);
+    ``total_work`` is in spin units (see :func:`calibrate`), at most
+    2**53, the counts a plan's floats hold exactly (years of spinning);
     ``alpha_target`` of it is parallelizable.  Each parallel chunk costs
     an extra ``overhead_fraction`` of its own size in serial control
     work.  ``k_list`` always contains the k=1 baseline (added if
@@ -142,10 +144,12 @@ class SyntheticWorkload:
         if not (_is_number(self.alpha_target) and 0.0 <= self.alpha_target <= 1.0):
             raise ValueError(f"alpha_target must lie in [0, 1], got {self.alpha_target!r}")
         object.__setattr__(self, "alpha_target", float(self.alpha_target))
-        if not _is_count(self.total_work):
-            raise ValueError(f"total_work must be a positive integer, got {self.total_work!r}")
-        if not (_is_number(self.overhead_fraction) and 0.0 <= self.overhead_fraction < math.inf):
-            raise ValueError(f"overhead_fraction must be >= 0, got {self.overhead_fraction!r}")
+        if not (_is_count(self.total_work) and self.total_work <= 2**53):
+            raise ValueError(f"total_work must be an integer in [1, 2**53], got {self.total_work!r}")
+        # As total_work <= 2**53, this keeps every control count finite.
+        if not (_is_number(self.overhead_fraction) and 0.0 <= self.overhead_fraction
+                and math.isfinite(float(self.overhead_fraction) * 2**53)):
+            raise ValueError(f"overhead_fraction must be >= 0 and finite times 2**53, got {self.overhead_fraction!r}")
         object.__setattr__(self, "overhead_fraction", float(self.overhead_fraction))
         ks = list(self.k_list)
         if not ks:
@@ -163,15 +167,15 @@ class SyntheticWorkload:
     def label(self) -> str:
         return f"synthetic-a{self.alpha_target:g}-o{self.overhead_fraction:g}"
 
-
-def _split_chunks(workload: SyntheticWorkload, k: int) -> tuple[int, list[int], list[int]]:
-    serial_units = round((1.0 - workload.alpha_target) * workload.total_work)
-    serial_units = min(workload.total_work, max(0, serial_units))
-    parallel_units = workload.total_work - serial_units
-    base, remainder = divmod(parallel_units, k)
-    chunk_units = [base + (1 if i < remainder else 0) for i in range(k)]
-    control_units = [round(workload.overhead_fraction * c) for c in chunk_units]
-    return serial_units, chunk_units, control_units
+    def plan(self, k: int) -> Timeline:
+        """The run at k in spin units, in run order: serial, each chunk's control, the k chunks."""
+        # (1 - alpha) <= 1 and total_work is an exact float, so this lies in [0, total_work].
+        serial_units = round((1.0 - self.alpha_target) * self.total_work)
+        base, remainder = divmod(self.total_work - serial_units, k)
+        chunk_units = [base + (1 if i < remainder else 0) for i in range(k)]
+        return Timeline((sequential(serial_units),
+                         *(control(round(self.overhead_fraction * c)) for c in chunk_units),
+                         *map(parallel_chunk, chunk_units)))
 
 
 def _worker(units: int, release: int) -> None:
@@ -193,7 +197,9 @@ def _close(fds: list[int], fd: int) -> None:
     os.close(fd)
 
 
-def _measure_once(serial_units: int, chunk_units: list[int], control_units: list[int]) -> float:
+def _measure_once(plan: Timeline) -> float:
+    spins = [int(s.duration) for s in plan.segments if s.kind is not SegmentKind.PARALLEL_CHUNK]
+    chunk_units = [int(d) for d in plan.chunk_durations]
     cpus = _placement(len(chunk_units))
     fds = []
     pids = []
@@ -230,9 +236,9 @@ def _measure_once(serial_units: int, chunk_units: list[int], control_units: list
         parked = time.monotonic() - park_start
 
         t0 = time.perf_counter()
-        checksum = _spin(serial_units)
-        for ctl in control_units:
-            checksum ^= _spin(ctl)
+        checksum = 0
+        for units in spins:
+            checksum ^= _spin(units)
         _close(fds, release_w)
         os.read(done_r, 1)  # EOF once every chunk has ended or its worker died
         elapsed = time.perf_counter() - t0
@@ -278,17 +284,12 @@ def run_synthetic(
     across k; see the module docstring for that and for pinning.
     """
     _check_cap(workload.k_list, max_oversubscription)
-    plans = {k: _split_chunks(workload, k) for k in workload.k_list}
+    plans = {k: workload.plan(k) for k in workload.k_list}
     best = dict.fromkeys(workload.k_list, math.inf)
     for _ in range(workload.repetitions):
         for k, plan in plans.items():
-            best[k] = min(best[k], _measure_once(*plan))
-    return MeasurementSeries(
-        label=workload.label,
-        points=tuple(best.items()),
-        value_kind=ValueKind.WALL_TIME,
-        baseline_k=1,
-    )
+            best[k] = min(best[k], _measure_once(plan))
+    return MeasurementSeries(workload.label, tuple(best.items()), ValueKind.WALL_TIME)
 
 
 # Workload spec keys and the SyntheticWorkload fields they set; absent

@@ -297,13 +297,6 @@ def surface(
         raise ValueError(f"overhead_fraction must be >= 0, got {overhead_fraction}")
     if chunk_time <= 0.0:
         raise ValueError(f"chunk_time must be positive, got {chunk_time}")
-    return _surface_alpha(seq_time, overhead_fraction, k, chunk_time)
-
-
-def _surface_alpha(
-    seq_time: float, overhead_fraction: float, k: int, chunk_time: float
-) -> metrics.EffectiveParallelization:
-    """``surface``'s closed form, on inputs ``surface`` has already checked."""
     t_serial = seq_time + k * chunk_time
     t_total = seq_time + chunk_time * (1.0 + overhead_fraction)
     # On checked inputs the speedup is finite and positive unless t_serial
@@ -381,9 +374,9 @@ def sweep_surface(
     # its first failing cell.
     surface(seq_values[0], overhead_values[0], k, chunk_time)
     chunk_time = float(chunk_time)
-    # Each cell inlines _surface_alpha's float operations, in its order, so it
-    # has the same bits.  A speedup that is not finite and positive, the one
-    # case alpha_eff rejects, goes through _surface_alpha to raise its error.
+    # Each cell inlines surface's closed form, its float operations in order,
+    # so it has the same bits.  A speedup that is not finite and positive (the
+    # one case alpha_eff rejects) goes through surface to raise its error.
     kf = float(k)
     scale = kf / (kf - 1.0)
     work = k * chunk_time
@@ -395,7 +388,7 @@ def sweep_surface(
         for ov, load in zip(overhead_values, loads):
             s = t_serial / (seq + load)
             if not 0.0 < s < math.inf:
-                _surface_alpha(seq, ov, k, chunk_time)
+                surface(seq, ov, k, chunk_time)
             row.append(scale * (s - 1.0) / s)
         alpha.append(tuple(row))
     return SurfaceGrid(

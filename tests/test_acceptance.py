@@ -255,7 +255,7 @@ def test_criterion_8_harness_measures_known_workloads():
     k=4 on 2 processors).  A failure reports every T(k), the processor
     count and how far a calibrated reference spin, timed on each worker
     processor before and after each run, drifted, to tell host noise
-    from harness error.
+    from harness error, and sets each T(k) beside its plan's modelled one.
     """
     nproc = available_processors()
     reference = calibrate(0.05)
@@ -275,11 +275,15 @@ def test_criterion_8_harness_measures_known_workloads():
         finally:
             os.sched_setaffinity(0, allowed)
 
-    def run(workload):
+    def run(workload, seconds):
         time_reference()
         series = run_synthetic(workload)
         time_reference()
-        times = ", ".join(f"T({k})={t:.4f}s" for k, t in series.points)
+        # Modelled at the rate the calibration to ``seconds`` found.
+        rate = workload.total_work / seconds
+        times = ", ".join(
+            f"T({k})={t:.4f}s (modelled {simulate(workload.plan(k), k).t_total / rate:.4f}s)"
+            for k, t in series.points)
         context = (f"{times}; available_processors()={nproc}; reference "
                    f"spin slowest/fastest={max(spins) / min(spins):.2f}")
         return analyze(series), context
@@ -287,7 +291,7 @@ def test_criterion_8_harness_measures_known_workloads():
     total = calibrate(0.5)
     k_list = tuple(k for k in (1, 2, 4) if k <= nproc)
     workload = SyntheticWorkload(0.8, total, k_list=k_list, repetitions=5)
-    report, context = run(workload)
+    report, context = run(workload, 0.5)
     for row in report.rows:
         if row.k >= 2:
             assert row.alpha_eff == pytest.approx(0.8, abs=0.1), (
@@ -295,7 +299,7 @@ def test_criterion_8_harness_measures_known_workloads():
 
     serial_only = SyntheticWorkload(0.0, calibrate(0.4), k_list=(1, 2),
                                     repetitions=5)
-    serial_report, context = run(serial_only)
+    serial_report, context = run(serial_only, 0.4)
     row2 = next(r for r in serial_report.rows if r.k == 2)
     assert row2.speedup == pytest.approx(1.0, abs=0.1), (
         f"S(2)={row2.speedup:.3f}; {context}")

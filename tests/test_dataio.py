@@ -805,6 +805,17 @@ class TestEmitMeasurements:
             "skips '#' lines; use JSON for this series")
         assert parse_measurements(emit_measurements([ok, series], "json"), "json") == [ok, series]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_refuses_two_series_with_one_label(self, fmt):
+        # CSV would read them back as one merged series, and JSON's parser
+        # rejects the duplicate: neither round-trips.
+        series = [MeasurementSeries("a", ((1, 1.0), (2, 1.5)), ValueKind.SPEEDUP),
+                  MeasurementSeries("b", ((1, 1.0),), ValueKind.SPEEDUP),
+                  MeasurementSeries("a", ((4, 3.0),), ValueKind.SPEEDUP)]
+        with pytest.raises(ValueError) as info:
+            emit_measurements(series, fmt)
+        assert str(info.value) == "'a': two series share this label; neither format reads them back"
+
 
 # ------------------------------------------------------------ emit_reports
 

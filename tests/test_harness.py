@@ -22,6 +22,7 @@ from alphaeff.harness import (
     run_synthetic,
     workload_from_spec,
 )
+from alphaeff.timeline import SegmentKind, Timeline, control, parallel_chunk, sequential, simulate
 
 multi_cpu = pytest.mark.skipif(
     available_processors() < 2,
@@ -70,6 +71,8 @@ class TestSyntheticWorkload:
         dict(alpha_target=0.5, total_work=10, overhead_fraction="0.1"),
         dict(alpha_target=0.5, total_work=10, k_list=(True, 2)),
         dict(alpha_target=0.5, total_work=10, repetitions=True),
+        dict(alpha_target=0.5, total_work=10, overhead_fraction=1e308),
+        dict(alpha_target=0.5, total_work=2**53 + 1),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -80,38 +83,70 @@ class TestSyntheticWorkload:
         assert 0.0 < lo < hi < 1.0
 
 
-class TestSplitChunks:
+def _counts(w, k):
+    """Serial, chunk and control spin counts of ``w.plan(k)``."""
+    plan = w.plan(k)
+    of = lambda kind: [int(s.duration) for s in plan.segments if s.kind is kind]
+    (serial,) = of(SegmentKind.SEQUENTIAL)
+    return serial, of(SegmentKind.PARALLEL_CHUNK), of(SegmentKind.CONTROL)
+
+
+def _side_by_side(w, points, seconds):
+    """Each measured T(k) beside its plan's modelled one, at the spin rate
+    of a calibration to ``seconds`` (w.total_work units in that time)."""
+    return ", ".join(
+        f"T({k}) measured {t:.4f}s, modelled "
+        f"{simulate(w.plan(k), k).t_total * seconds / w.total_work:.4f}s"
+        for k, t in points)
+
+
+class TestPlan:
     def test_even_split(self):
         w = SyntheticWorkload(0.5, 1000)
-        serial, chunks, controls = harness._split_chunks(w, 4)
+        serial, chunks, controls = _counts(w, 4)
         assert serial == 500
         assert chunks == [125, 125, 125, 125]
         assert controls == [0, 0, 0, 0]
 
     def test_remainder_spread_over_first_chunks(self):
         w = SyntheticWorkload(0.8, 10)
-        serial, chunks, _ = harness._split_chunks(w, 3)
+        serial, chunks, _ = _counts(w, 3)
         assert serial == 2
         assert chunks == [3, 3, 2]
 
     def test_controls_proportional_to_chunks(self):
         w = SyntheticWorkload(0.8, 10, overhead_fraction=0.3)
-        _, chunks, controls = harness._split_chunks(w, 3)
+        _, chunks, controls = _counts(w, 3)
         assert controls == [round(0.3 * c) for c in chunks]
 
     def test_all_serial_and_all_parallel(self):
-        serial, chunks, _ = harness._split_chunks(SyntheticWorkload(0.0, 100), 4)
+        serial, chunks, _ = _counts(SyntheticWorkload(0.0, 100), 4)
         assert serial == 100 and chunks == [0, 0, 0, 0]
-        serial, chunks, _ = harness._split_chunks(SyntheticWorkload(1.0, 100), 4)
+        serial, chunks, _ = _counts(SyntheticWorkload(1.0, 100), 4)
         assert serial == 0 and sum(chunks) == 100
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.77, 1.0])
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
     def test_work_conserved(self, alpha, k):
         w = SyntheticWorkload(alpha, 997)
-        serial, chunks, _ = harness._split_chunks(w, k)
+        serial, chunks, _ = _counts(w, k)
         assert serial + sum(chunks) == 997
         assert max(chunks) - min(chunks) <= 1
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_segments_in_run_order(self, k):
+        plan = SyntheticWorkload(0.6, 2**53, overhead_fraction=0.1).plan(k)
+        assert "".join(s.kind.value for s in plan.segments) == "S" + "C" * k + "P" * k
+        assert sum(int(s.duration) for s in plan.segments
+                   if s.kind is not SegmentKind.CONTROL) == 2**53
+
+    def test_modelled_alpha_counts_control_in_the_baseline(self):
+        # The harness's T(1) holds its one chunk's control too, so the
+        # heavy workload's modelled alpha_eff at k=2 is 0.4, not 0.5.
+        for overhead, expected in ((0.0, 0.5), (0.5, 0.4)):
+            w = SyntheticWorkload(0.5, 1_000_000, overhead_fraction=overhead)
+            t1, t2 = (simulate(w.plan(k), k).t_total for k in (1, 2))
+            assert metrics.alpha_eff(t1 / t2, 2) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------- calibrate
@@ -189,7 +224,7 @@ class TestRunSynthetic:
         assert series.value_kind is ValueKind.WALL_TIME
         report = analyze(series)
         row = next(r for r in report.rows if r.k == 2)
-        assert row.speedup == pytest.approx(1.0, abs=0.1)
+        assert row.speedup == pytest.approx(1.0, abs=0.1), _side_by_side(w, series.points, 0.4)
 
     def test_series_shape(self):
         w = SyntheticWorkload(0.5, calibrate(0.05), k_list=(2, 1),
@@ -241,12 +276,12 @@ class TestRunSynthetic:
         monkeypatch.setattr(os, "sched_setaffinity", pin)
         with _leaves_nothing_behind(), pytest.raises(
                 RuntimeError, match="worker spawn failed: pinning refused"):
-            harness._measure_once(0, [1000, 1000], [0, 0])
+            harness._measure_once(SyntheticWorkload(1.0, 2000).plan(2))
         assert len(pinned) == 2
 
     def test_clean_run_leaves_nothing_behind(self):
         with _leaves_nothing_behind():
-            assert harness._measure_once(0, [1000, 1000], [0, 0]) > 0.0
+            assert harness._measure_once(SyntheticWorkload(1.0, 2000).plan(2)) > 0.0
 
     def test_worker_dying_after_release_leaves_nothing_behind(self, monkeypatch):
         def dies_if_idle(units, release):
@@ -257,7 +292,8 @@ class TestRunSynthetic:
 
         monkeypatch.setattr(harness, "_worker", dies_if_idle)
         with _leaves_nothing_behind(), pytest.raises(RuntimeError, match="exited with code 4"):
-            harness._measure_once(0, [0, 10**6], [0, 0])
+            harness._measure_once(Timeline((sequential(0), control(0), control(0),
+                                            parallel_chunk(0), parallel_chunk(10**6))))
 
     def test_no_fork_or_reap_inside_the_clock(self, monkeypatch):
         events = []
@@ -273,7 +309,7 @@ class TestRunSynthetic:
         monkeypatch.setattr(harness.time, "perf_counter",
                             recorder("clock", harness.time.perf_counter))
         with _leaves_nothing_behind():
-            harness._measure_once(0, [1000, 1000], [0, 0])
+            harness._measure_once(SyntheticWorkload(1.0, 2000).plan(2))
             # Read before the guard's own waitpid check is recorded.
             at = {name: [i for i, e in enumerate(events) if e == name]
                   for name in ("fork", "clock", "waitpid")}
@@ -286,8 +322,8 @@ class TestRunSynthetic:
         measured = []
         times = iter([5.0, 3.0, 2.0, 4.0, 1.0, 6.0])
 
-        def fake_measure(serial_units, chunk_units, control_units):
-            measured.append(len(chunk_units))
+        def fake_measure(plan):
+            measured.append(len(plan.chunk_durations))
             return next(times)
 
         monkeypatch.setattr(harness, "_measure_once", fake_measure)
@@ -295,6 +331,16 @@ class TestRunSynthetic:
         series = run_synthetic(w)
         assert measured == [1, 2, 4, 1, 2, 4]
         assert series.points == ((1, 4.0), (2, 1.0), (4, 2.0))
+
+    def test_every_plan_built_before_the_first_measurement(self, monkeypatch):
+        events = []
+        real_plan = SyntheticWorkload.plan
+        monkeypatch.setattr(SyntheticWorkload, "plan",
+                            lambda w, k: events.append(f"plan {k}") or real_plan(w, k))
+        monkeypatch.setattr(harness, "_measure_once",
+                            lambda plan: events.append(len(plan.chunk_durations)) or 1.0)
+        run_synthetic(SyntheticWorkload(0.5, 1000, k_list=(1, 2), repetitions=2))
+        assert events == ["plan 1", "plan 2", 1, 2, 1, 2]
 
     @has_affinity
     def test_workers_pinned_one_per_processor(self, monkeypatch):
@@ -318,16 +364,16 @@ class TestRunSynthetic:
     def test_parallel_workload_speeds_up(self):
         w = SyntheticWorkload(1.0, calibrate(0.3), k_list=(1, 2),
                               repetitions=3)
-        report = analyze(run_synthetic(w))
-        row = next(r for r in report.rows if r.k == 2)
-        assert 1.6 <= row.speedup <= 2.0
+        series = run_synthetic(w)
+        row = next(r for r in analyze(series).rows if r.k == 2)
+        assert 1.6 <= row.speedup <= 2.0, _side_by_side(w, series.points, 0.3)
 
     @multi_cpu
     def test_control_overhead_lowers_measured_alpha(self):
-        # The expected gap (alpha_eff 0.5 vs 0.4 at k=2) is smaller than
-        # a shared host's speed drift over a few seconds, so the workloads
-        # take turns one repetition at a time, the first alternating,
-        # and each keeps its per-k minimum over its rounds.
+        # The modelled gap (alpha_eff 0.5 vs 0.4 at k=2, see TestPlan) is
+        # smaller than a shared host's speed drift over a few seconds, so
+        # the workloads take turns one repetition at a time, the first
+        # alternating, and each keeps its per-k minimum over its rounds.
         total = calibrate(0.25)
         lean = SyntheticWorkload(0.5, total, overhead_fraction=0.0,
                                  k_list=(1, 2), repetitions=1)
@@ -342,7 +388,8 @@ class TestRunSynthetic:
         # Heavy adds the same control time at k=1 and k=2, so it can only
         # read lower while lean really speeds up.
         assert alpha_of(heavy) < alpha_of(lean), (
-            f"minimum T(k): lean {best[lean]}, heavy {best[heavy]}; "
+            f"minimum T(k): lean {_side_by_side(lean, best[lean].items(), 0.25)}; "
+            f"heavy {_side_by_side(heavy, best[heavy].items(), 0.25)}; "
             f"lean S(2) = {best[lean][1] / best[lean][2]:.3f}")
 
 
@@ -418,6 +465,7 @@ class TestWorkloadFromSpec:
         ({"alpha": 0.5, "total_ms": 20, "k_list": [1, 0]}, "k values must be integers >= 1, got 0"),
         ({"alpha": 0.5, "total_ms": 20, "reps": 0}, "repetitions must be an integer >= 1, got 0"),
         ({"alpha": 1.5, "total_ms": -1}, "alpha_target"),
+        ({"alpha": 0.5, "total_ms": 5, "overhead": 1e308}, "overhead_fraction must be >= 0"),
     ])
     def test_fields_checked_before_calibrating(self, monkeypatch, spec, message):
         def calibrate(seconds):
