@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import replace
 
 from . import dataio, harness, metrics, timeline
 
@@ -162,11 +161,7 @@ def cmd_bench(args) -> str:
     else:
         spec = {"alpha": args.alpha, "total_ms": args.total_ms, "overhead": args.overhead,
                 "k_list": _parse_int_list(args.k), "reps": args.reps}
-    workload, seconds = harness._uncalibrated_workload(spec)
-    # The cap needs only k_list; calibrating first would spin for about a second.
-    harness._check_cap(workload.k_list, args.max_oversubscription)
-    workload = replace(workload, total_work=harness.calibrate(seconds))
-    series = harness.run_synthetic(workload, args.max_oversubscription)
+    series = harness.run_synthetic(harness.workload_from_spec(spec))
     return dataio.emit_measurements([series], args.format)
 
 
@@ -276,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated worker counts (default: 1,2,4)")
     p.add_argument("--reps", type=int, default=3, help="repetitions per k (default: 3)")
     p.add_argument("--spec", help="workload spec JSON file ('-' for stdin) instead of flags")
-    p.add_argument("--max-oversubscription", type=int, default=4,
-                   help="hard cap on k as a multiple of available processors (default: 4)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", help="write to this path instead of stdout")
     p.set_defaults(func=cmd_bench)

@@ -21,7 +21,6 @@ they are carried alongside so recomputation can be checked against them.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -233,7 +232,6 @@ def _as_text(source) -> str:
 _SCALARS = (str, int, float, type(None))  # bool is an int
 
 
-@functools.lru_cache(maxsize=64)
 def _record_template(names: tuple[str, ...], depth: int) -> str:
     """The %-template of one dict with keys ``names``, ``depth`` levels in."""
     newline = "\n" + "  " * (depth + 1)
@@ -642,6 +640,12 @@ def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[st
 
 _SORTED_ROW_FIELDS = tuple(sorted(_ROW_FIELDS))
 _sorted_row_values = operator.attrgetter(*_SORTED_ROW_FIELDS)
+# A report is {"fitted", "label", "rows"} two levels in: split its
+# template at the rows, a list of records three levels in.
+_REPORT_HEAD, _REPORT_TAIL = _record_template(("fitted", "label", "rows"), 2).rsplit("%s", 1)
+_REPORT_HEADS = (_REPORT_HEAD % ("%s", "%s"),
+                 _REPORT_HEAD % (_record_template(("alpha", "residual"), 3), "%s"))
+_ROW_TEMPLATE = _record_template(_SORTED_ROW_FIELDS, 4)
 
 
 def _reports_json(reports: Sequence[ScalingReport]) -> str:
@@ -654,11 +658,6 @@ def _reports_json(reports: Sequence[ScalingReport]) -> str:
     """
     if not reports:
         return '{\n  "reports": []\n}\n'
-    # A report is {"fitted", "label", "rows"} two levels in: split its
-    # template at the rows, a list of records three levels in.
-    head, tail = _record_template(("fitted", "label", "rows"), 2).rsplit("%s", 1)
-    heads = (head % ("%s", "%s"), head % (_record_template(("alpha", "residual"), 3), "%s"))
-    row = _record_template(_SORTED_ROW_FIELDS, 4)
     values, templates = [], []
     for report in reports:
         fitted, rows = report.fitted, report.rows
@@ -667,8 +666,8 @@ def _reports_json(reports: Sequence[ScalingReport]) -> str:
         else:
             values += (fitted.model.alpha, fitted.residual, report.label)
         values += chain.from_iterable(map(_sorted_row_values, rows))
-        row_list = "[\n        " + ",\n        ".join(repeat(row, len(rows))) + "\n      ]"
-        templates.append(heads[fitted is not None] + (row_list if rows else "[]") + tail)
+        row_list = "[\n        " + ",\n        ".join(repeat(_ROW_TEMPLATE, len(rows))) + "\n      ]"
+        templates.append(_REPORT_HEADS[fitted is not None] + (row_list if rows else "[]") + _REPORT_TAIL)
     if not all(issubclass(kind, _SCALARS) for kind in set(map(type, values))):
         return _json_text({"reports": [
             {

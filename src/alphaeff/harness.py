@@ -27,7 +27,8 @@ alike instead of biasing T(1) against T(k).  When k does not exceed the
 processors this process may use, worker i is pinned to the i-th of
 them, so that k workers never share a processor while another idles;
 oversubscribed runs, and platforms without ``sched_setaffinity``, leave
-placement to the operating system.
+placement to the operating system.  No k may exceed four times the
+available processors, which bounds the processes a repetition forks.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ logger = logging.getLogger(__name__)
 # day ("20% to 40%").  A documented preset for experiments, nothing
 # more; the harness default is overhead-free.
 AMDAHL_OVERHEAD_RANGE = (0.20, 0.40)
+
+# The hard cap on k, as a multiple of the available processors.
+_MAX_OVERSUBSCRIPTION = 4
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -97,8 +101,9 @@ def calibrate(target_duration: float) -> int:
     spins at the target size, the statistic the harness reports.
     The result is approximate by nature (scheduler noise, frequency
     scaling); expect the achieved time within roughly 20% of the target.
-    Raises ValueError for a non-positive target or one too close to the
-    timer's resolution to measure.
+    Raises ValueError for a non-positive target, one too close to the
+    timer's resolution to measure, or one the probe shows would need
+    more than 2**53 units, before any spin at the target size.
     """
     target_duration = float(target_duration)
     if not (math.isfinite(target_duration) and target_duration > 0.0):
@@ -116,7 +121,10 @@ def calibrate(target_duration: float) -> int:
         if elapsed >= max(0.005, 1000.0 * resolution):
             break
         units *= 4
-    estimate = max(1, round(units * target_duration / elapsed))
+    estimate = units * target_duration / elapsed
+    if not estimate <= 2**53:
+        raise ValueError(f"target {target_duration:g}s needs more than 2**53 spin units on this host")
+    estimate = max(1, round(estimate))
     elapsed = min(_timed_spin(estimate) for _ in range(3))
     return max(1, round(estimate * target_duration / elapsed))
 
@@ -258,32 +266,30 @@ def _measure_once(plan: Timeline) -> float:
     return elapsed
 
 
-def _check_cap(k_list, max_oversubscription: int) -> None:
-    """Reject a k above ``max_oversubscription`` times the available processors."""
-    cap = max_oversubscription * available_processors()
-    too_big = [k for k in k_list if k > cap]
+def _check_cap(k_list) -> None:
+    """Reject a k above ``_MAX_OVERSUBSCRIPTION`` times the available processors."""
+    n = available_processors()
+    too_big = [k for k in k_list if k > _MAX_OVERSUBSCRIPTION * n]
     if too_big:
         raise ValueError(
-            f"k={max(too_big)} exceeds the hard cap of {cap} "
-            f"({max_oversubscription} x {available_processors()} available processors)"
+            f"k={max(too_big)} exceeds the hard cap of {_MAX_OVERSUBSCRIPTION * n} "
+            f"({_MAX_OVERSUBSCRIPTION} x {n} available processors)"
         )
 
 
-def run_synthetic(
-    workload: SyntheticWorkload, max_oversubscription: int = 4
-) -> MeasurementSeries:
+def run_synthetic(workload: SyntheticWorkload) -> MeasurementSeries:
     """Execute the workload and return its wall-time series.
 
     Every k in the plan spawns exactly k worker processes; k may exceed
     the available processors (oversubscription shows the degradation
-    nicely) but is capped at ``max_oversubscription`` times the
-    available count to keep runs sane.  Each T(k) is the serial and
+    nicely) but not four times their count, a hard cap that raises
+    ValueError before any worker starts.  Each T(k) is the serial and
     control spins plus the release until the last chunk ends; forking,
     pinning and parking the workers happen before the clock starts, and
     their exit and reaping after it stops.  Repetitions run interleaved
     across k; see the module docstring for that and for pinning.
     """
-    _check_cap(workload.k_list, max_oversubscription)
+    _check_cap(workload.k_list)
     plans = {k: workload.plan(k) for k in workload.k_list}
     best = dict.fromkeys(workload.k_list, math.inf)
     for _ in range(workload.repetitions):
@@ -303,21 +309,14 @@ _SPEC_FIELDS = {
 
 
 def workload_from_spec(source) -> SyntheticWorkload:
-    """Build a workload from its JSON description.
+    """Build a runnable workload from its JSON description.
 
     Schema: {"alpha": fraction, "total_ms": milliseconds, "overhead"?:
     fraction, "k_list"?: [counts], "reps"?: count}.  ``total_ms`` is
-    converted to spin units by calibrating on this host.
-    """
-    workload, seconds = _uncalibrated_workload(source)
-    return replace(workload, total_work=calibrate(seconds))
-
-
-def _uncalibrated_workload(source) -> tuple[SyntheticWorkload, float]:
-    """The checked workload of a spec with ``total_work=1``, and its ``total_ms`` in seconds.
-
-    Every field is checked here, before anything spends a calibration on
-    ``total_ms``.
+    converted to spin units by calibrating on this host, which spins
+    three times at the target size; every field, ``total_ms`` being
+    positive and finite, and the hard cap on k (see :func:`run_synthetic`)
+    are checked first.
     """
     if hasattr(source, "read") or isinstance(source, (str, bytes)):
         doc = _load_json(source, "workload JSON")
@@ -331,9 +330,14 @@ def _uncalibrated_workload(source) -> tuple[SyntheticWorkload, float]:
     for key in ("alpha", "total_ms"):
         if key not in doc:
             raise ValueError(f"workload spec missing key {key!r}")
-    if not _is_number(doc["total_ms"]):
+    total_ms = doc["total_ms"]
+    if not _is_number(total_ms):
         raise ValueError("total_ms must be a number")
     if "k_list" in doc and not isinstance(doc["k_list"], list):
         raise ValueError("k_list must be a list of integers")
     fields = {field: doc[key] for key, field in _SPEC_FIELDS.items() if key in doc}
-    return SyntheticWorkload(total_work=1, **fields), doc["total_ms"] / 1000.0
+    workload = SyntheticWorkload(total_work=1, **fields)
+    if not 0.0 < total_ms < math.inf:
+        raise ValueError(f"total_ms must be positive and finite, got {total_ms!r}")
+    _check_cap(workload.k_list)
+    return replace(workload, total_work=calibrate(total_ms / 1000.0))

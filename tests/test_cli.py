@@ -526,22 +526,45 @@ class TestBench:
         assert rc == 2
         assert "hard cap" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["--alpha", "0.5", "--k", "1,999"],
-        ["--spec", "-"],
-    ], ids=["flags", "spec"])
-    def test_cap_is_checked_before_calibrating(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("use_spec", [False, True], ids=["flags", "spec"])
+    def test_cap_is_checked_before_calibrating(self, capsys, monkeypatch, use_spec):
         def never(*args):
             raise AssertionError("no calibration or worker may start past the cap")
 
+        n = harness.available_processors()
+        k = 4 * n + 1
         monkeypatch.setattr(harness, "calibrate", never)
         monkeypatch.setattr(harness, "_measure_once", never)
-        monkeypatch.setattr(sys, "stdin", io.StringIO('{"alpha": 0.5, "total_ms": 250, "k_list": [1, 999]}'))
-        rc, out, err = run_cli(capsys, "bench", *argv, "--max-oversubscription", "2")
-        cap = 2 * harness.available_processors()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            '{"alpha": 0.5, "total_ms": 250, "k_list": [1, %d]}' % k))
+        argv = ["--spec", "-"] if use_spec else ["--alpha", "0.5", "--k", f"1,{k}"]
+        rc, out, err = run_cli(capsys, "bench", *argv)
         assert (rc, out) == (2, "")
-        assert err == (f"error: k=999 exceeds the hard cap of {cap} "
-                       f"(2 x {harness.available_processors()} available processors)\n")
+        assert err == (f"error: k={k} exceeds the hard cap of {4 * n} "
+                       f"(4 x {n} available processors)\n")
+
+    def test_oversubscription_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--max-oversubscription", "4", "--alpha", "0.5", "--k", "1"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --max-oversubscription 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("total_ms, message", [
+        ("-1", "total_ms must be positive and finite, got -1.0"),
+        ("1e308", "target 1e+305s needs more than 2**53 spin units on this host"),
+    ], ids=["negative", "past-2**53-units"])
+    def test_total_ms_refused_before_spinning_at_target(self, capsys, monkeypatch,
+                                                        total_ms, message):
+        real = harness._timed_spin
+
+        def bounded(units):
+            assert units <= 2**53, f"asked to spin {units} units"
+            return real(units)
+
+        monkeypatch.setattr(harness, "_timed_spin", bounded)
+        rc, out, err = run_cli(capsys, "bench", "--alpha", "0.5", "--total-ms", total_ms,
+                               "--k", "1", "--reps", "1")
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_spec_with_utf8_bom_on_stdin(self, capsys, monkeypatch):
         # A spec piped in with a BOM reads as it does from a file.
@@ -554,7 +577,7 @@ class TestBench:
     def test_flags_and_spec_build_the_same_workload(self, capsys, monkeypatch, tmp_path):
         built = []
 
-        def run_synthetic(workload, max_oversubscription):
+        def run_synthetic(workload):
             built.append(workload)
             return dataio.MeasurementSeries(workload.label, ((1, 1.0),),
                                             dataio.ValueKind.WALL_TIME)

@@ -174,6 +174,18 @@ class TestCalibrate:
             t2 = min(t2, harness._timed_spin(2 * units))
         assert 1.6 <= t2 / t1 <= 2.4
 
+    @pytest.mark.parametrize("target", [1e297, 1e305])
+    def test_target_past_2_53_units_refused_before_spinning_at_it(self, monkeypatch, target):
+        real = harness._timed_spin
+
+        def bounded(units):
+            assert units <= 2**53, f"asked to spin {units} units"
+            return real(units)
+
+        monkeypatch.setattr(harness, "_timed_spin", bounded)
+        with pytest.raises(ValueError, match=r"needs more than 2\*\*53 spin units"):
+            calibrate(target)
+
     def test_spin_is_deterministic(self):
         assert harness._spin(1000) == harness._spin(1000)
         assert harness._spin(0) == 0x9E3779B97F4A7C15
@@ -240,12 +252,6 @@ class TestRunSynthetic:
         w = SyntheticWorkload(0.5, 100, k_list=(cap + 1,))
         with pytest.raises(ValueError, match="hard cap"):
             run_synthetic(w)
-
-    def test_cap_scales_with_oversubscription_argument(self):
-        k = available_processors() + 1
-        w = SyntheticWorkload(0.5, 100, k_list=(k,))
-        with pytest.raises(ValueError, match="hard cap"):
-            run_synthetic(w, max_oversubscription=1)
 
     def test_failing_worker_surfaces_as_runtime_error(self, monkeypatch):
         def bad_worker(units, release):
@@ -466,6 +472,12 @@ class TestWorkloadFromSpec:
         ({"alpha": 0.5, "total_ms": 20, "reps": 0}, "repetitions must be an integer >= 1, got 0"),
         ({"alpha": 1.5, "total_ms": -1}, "alpha_target"),
         ({"alpha": 0.5, "total_ms": 5, "overhead": 1e308}, "overhead_fraction must be >= 0"),
+        ({"alpha": 0.5, "total_ms": -5}, "total_ms must be positive and finite, got -5$"),
+        ({"alpha": 0.5, "total_ms": 0}, "total_ms must be positive and finite, got 0$"),
+        ({"alpha": 0.5, "total_ms": math.nan}, "total_ms must be positive and finite, got nan"),
+        ({"alpha": 0.5, "total_ms": math.inf}, "total_ms must be positive and finite, got inf"),
+        ({"alpha": 0.5, "total_ms": 20, "k_list": [4 * available_processors() + 1]},
+         "exceeds the hard cap"),
     ])
     def test_fields_checked_before_calibrating(self, monkeypatch, spec, message):
         def calibrate(seconds):
