@@ -160,17 +160,29 @@ def _checked_series(label, points, value_kind, baseline_k=1) -> MeasurementSerie
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Per-k derived metrics for one series, plus an optional Amdahl fit."""
+    """Per-k derived metrics for one series, plus an optional Amdahl fit.
+
+    Refuses, in field order, a label that is not a ``str``, a row that is
+    not a ``metrics.MetricRow``, rows out of strictly ascending k, and a
+    ``fitted`` that is neither None nor a ``metrics.FitResult``, so every
+    report writer can write what it holds.
+    """
 
     label: str
     rows: tuple[metrics.MetricRow, ...]
     fitted: metrics.FitResult | None = None
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"report label must be a string, got {self.label!r}")
         rows = tuple(self.rows)
+        if not all(map(isinstance, rows, repeat(metrics.MetricRow))):
+            raise ValueError("report rows must be metrics.MetricRow instances")
         ks = [r.k for r in rows]
         if ks != sorted(set(ks)):
             raise ValueError("report rows must be sorted by strictly ascending k")
+        if not (self.fitted is None or isinstance(self.fitted, metrics.FitResult)):
+            raise ValueError(f"fitted must be None or a metrics.FitResult, got {self.fitted!r}")
         object.__setattr__(self, "rows", rows)
 
 
@@ -198,15 +210,19 @@ class Fixture:
         for label, pairs in dict(self.published_serial_fraction).items():
             if series and label not in ks_by_label:
                 raise ValueError(f"published label {label!r} has no matching series")
-            pairs = [(k, float(v)) for k, v in pairs]
+            checked = []
             for k, v in pairs:
                 if not metrics._is_count(k):
                     raise ValueError(f"{label!r}: published k must be >= 1, got {k!r}")
+                if not metrics._is_number(v):
+                    raise ValueError(f"{label!r}: published serial fraction must be a number, got {v!r}")
+                v = float(v)
                 if not (math.isfinite(v) and v >= 0.0):
                     raise ValueError(f"{label!r}: published serial fraction must be >= 0, got {v}")
                 if series and k != 1 and k not in ks_by_label[label]:
                     raise ValueError(f"{label!r}: published k={k} not in the series")
-            published[label] = tuple(sorted(pairs))
+                checked.append((k, v))
+            published[label] = tuple(sorted(checked))
         if self.verifiable and not (series and published):
             raise ValueError("a verifiable fixture needs series and published values")
         object.__setattr__(self, "published_serial_fraction", published)
@@ -227,9 +243,6 @@ def _as_text(source) -> str:
     if isinstance(source, str):
         return source.lstrip("﻿")
     raise TypeError(f"expected text, bytes or a readable object, got {type(source).__name__}")
-
-
-_SCALARS = (str, int, float, type(None))  # bool is an int
 
 
 def _record_template(names: tuple[str, ...], depth: int) -> str:
@@ -614,15 +627,7 @@ def _row_columns(reports: Sequence[ScalingReport]) -> tuple[list[str], list[tupl
 
 def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[str]:
     labels, columns = _row_columns(reports)
-    cells = [labels]
-    for values in columns:
-        kinds = set(map(type, values))
-        if all(issubclass(kind, float) for kind in kinds):
-            cells.append(map(format, values, repeat(".6g")))  # _fmt_cell's float rule
-        elif any(issubclass(kind, (float, type(None))) for kind in kinds):
-            cells.append(map(_fmt_cell, values))
-        else:  # neither floats nor None: _fmt_cell's str rule
-            cells.append(map(str, values))
+    cells = [labels, *(map(_fmt_cell, values) for values in columns)]
     padded = []
     for name, column in zip(("label", *_ROW_FIELDS), cells):
         column = [name, *column]
@@ -653,8 +658,8 @@ def _reports_json(reports: Sequence[ScalingReport]) -> str:
 
     Every scalar of the document, in document order, goes through one
     ``json.dumps`` call; no encoded scalar holds its newline item separator,
-    so the text splits on it into the values of the template.  A label or
-    fit that is not a scalar goes through ``_json_text`` itself.
+    so the text splits on it into the values of the template.  ScalingReport
+    and FitResult hold only strings, numbers and None: every value is a scalar.
     """
     if not reports:
         return '{\n  "reports": []\n}\n'
@@ -668,17 +673,6 @@ def _reports_json(reports: Sequence[ScalingReport]) -> str:
         values += chain.from_iterable(map(_sorted_row_values, rows))
         row_list = "[\n        " + ",\n        ".join(repeat(_ROW_TEMPLATE, len(rows))) + "\n      ]"
         templates.append(_REPORT_HEADS[fitted is not None] + (row_list if rows else "[]") + _REPORT_TAIL)
-    if not all(issubclass(kind, _SCALARS) for kind in set(map(type, values))):
-        return _json_text({"reports": [
-            {
-                "label": report.label,
-                "rows": [dict(zip(_ROW_FIELDS, _row_values(row))) for row in report.rows],
-                "fitted": None
-                if report.fitted is None
-                else {"alpha": report.fitted.model.alpha, "residual": report.fitted.residual},
-            }
-            for report in reports
-        ]})
     try:
         cells = json.dumps(values, separators=(",\n", ": "), allow_nan=False)[1:-1].split(",\n")
     except ValueError:

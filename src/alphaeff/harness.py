@@ -62,6 +62,11 @@ AMDAHL_OVERHEAD_RANGE = (0.20, 0.40)
 # The hard cap on k, as a multiple of the available processors.
 _MAX_OVERSUBSCRIPTION = 4
 
+# The range of a spec's total_ms, whose top also bounds the modelled k=1 run
+# with control overhead, the longest run at any k: calibrate spins three
+# times at total_ms, so no spin is modelled past a minute.
+_TOTAL_MS_RANGE = (0.001, 60_000.0)
+
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
@@ -314,9 +319,12 @@ def workload_from_spec(source) -> SyntheticWorkload:
     Schema: {"alpha": fraction, "total_ms": milliseconds, "overhead"?:
     fraction, "k_list"?: [counts], "reps"?: count}.  ``total_ms`` is
     converted to spin units by calibrating on this host, which spins
-    three times at the target size; every field, ``total_ms`` being
-    positive and finite, and the hard cap on k (see :func:`run_synthetic`)
-    are checked first.
+    three times at the target size.  Checked first, in this order: every
+    field; ``total_ms`` positive and finite, then within 0.001 to 60,000
+    ms; the modelled k=1 run, ``total_ms * (1 + alpha * overhead)``, at
+    most 60,000 ms too; and the hard cap on k (see :func:`run_synthetic`).
+    So no run or calibration spin is modelled past a minute; ``reps`` has
+    no bound of its own.
     """
     if hasattr(source, "read") or isinstance(source, (str, bytes)):
         doc = _load_json(source, "workload JSON")
@@ -339,5 +347,12 @@ def workload_from_spec(source) -> SyntheticWorkload:
     workload = SyntheticWorkload(total_work=1, **fields)
     if not 0.0 < total_ms < math.inf:
         raise ValueError(f"total_ms must be positive and finite, got {total_ms!r}")
+    low, high = _TOTAL_MS_RANGE
+    if not low <= total_ms <= high:
+        raise ValueError(f"total_ms must lie in [{low:g}, {high:g}] milliseconds, got {total_ms!r}")
+    k1_ms = total_ms * (1.0 + workload.alpha_target * workload.overhead_fraction)
+    if k1_ms > high:
+        raise ValueError(f"overhead {workload.overhead_fraction!r} makes the modelled k=1 run "
+                         f"{k1_ms:g} ms, past the {high:g} ms bound")
     _check_cap(workload.k_list)
     return replace(workload, total_work=calibrate(total_ms / 1000.0))

@@ -242,11 +242,20 @@ class FitResult:
     Residuals are taken in inverse-speedup space, where the model is
     linear; ``residual`` is 0 (to rounding) when the data follow
     Amdahl's law exactly, and ``inf`` when the squared residuals exceed
-    the float range (speedups below about 1e-154).
+    the float range (speedups below about 1e-154).  Refuses a model that
+    is not an AmdahlModel and a residual that is not a number (a float,
+    or an int that is not a bool and fits a float), so every report writer
+    can write what it holds.
     """
 
     model: AmdahlModel
     residual: float
+
+    def __post_init__(self):
+        if not isinstance(self.model, AmdahlModel):
+            raise ValueError(f"model must be an AmdahlModel, got {self.model!r}")
+        if not _is_number(self.residual):
+            raise ValueError(f"residual must be a number, got {self.residual!r}")
 
 
 def fit_alpha(points) -> FitResult:

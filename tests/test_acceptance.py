@@ -244,6 +244,7 @@ def test_criterion_7c_lpt_never_worse_than_round_robin():
     assert simulate(counterexample, 2, ROUND_ROBIN).t_total == 6.0
 
 
+@pytest.mark.host_timing
 @pytest.mark.skipif(available_processors() < 2,
                     reason="needs at least 2 available processors")
 def test_criterion_8_harness_measures_known_workloads():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaeff import dataio, harness, metrics
+from alphaeff import dataio, harness, metrics, timeline
 from alphaeff.cli import main
 
 CSV_SMOKE = """\
@@ -457,6 +457,17 @@ class TestSurface:
         rc, out, err = run_cli(capsys, "surface", flag, str(big))
         assert (rc, out, err) == (2, "", f"error: {message.format(big)}\n")
 
+    @pytest.mark.parametrize("steps", ["3163", "20000", "9223372036854775807"])
+    def test_grid_past_the_cell_cap_is_data_error(self, capsys, monkeypatch, steps):
+        def never(*args):
+            raise AssertionError("an axis was built past the cell cap")
+
+        monkeypatch.setattr(timeline, "_linspace", never)
+        rc, out, err = run_cli(capsys, "surface", "--steps", steps)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: steps must be at most 3162, got {steps} "
+                       "(a grid holds at most 10,000,000 cells)\n")
+
     @pytest.mark.parametrize("argv, cell", [
         (("--k", "3", "--chunk", "1e308", "--steps", "2"), "seq_time=0.0, overhead_fraction=0.0"),
         (("--overhead-range", "0:1e308", "--chunk", "10"),
@@ -551,7 +562,7 @@ class TestBench:
 
     @pytest.mark.parametrize("total_ms, message", [
         ("-1", "total_ms must be positive and finite, got -1.0"),
-        ("1e308", "target 1e+305s needs more than 2**53 spin units on this host"),
+        ("1e308", "total_ms must lie in [0.001, 60000] milliseconds, got 1e+308"),
     ], ids=["negative", "past-2**53-units"])
     def test_total_ms_refused_before_spinning_at_target(self, capsys, monkeypatch,
                                                         total_ms, message):
@@ -564,6 +575,26 @@ class TestBench:
         monkeypatch.setattr(harness, "_timed_spin", bounded)
         rc, out, err = run_cli(capsys, "bench", "--alpha", "0.5", "--total-ms", total_ms,
                                "--k", "1", "--reps", "1")
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--total-ms", "1e6"), "total_ms must lie in [0.001, 60000] milliseconds, got 1000000.0"),
+        (("--total-ms", "60000.5"), "total_ms must lie in [0.001, 60000] milliseconds, got 60000.5"),
+        (("--total-ms", "1e-5"), "total_ms must lie in [0.001, 60000] milliseconds, got 1e-05"),
+        (("--overhead", "1e200", "--total-ms", "1"),
+         "overhead 1e+200 makes the modelled k=1 run 5e+199 ms, past the 60000 ms bound"),
+        (("--overhead", "1", "--total-ms", "40001"),
+         "overhead 1.0 makes the modelled k=1 run 60001.5 ms, past the 60000 ms bound"),
+    ], ids=["total-ms-1e6", "total-ms-past-a-minute", "total-ms-1e-5", "overhead-1e200",
+            "overhead-past-a-minute"])
+    def test_run_past_its_bound_refused_before_calibrating(self, capsys, monkeypatch,
+                                                          argv, message):
+        def never(*args):
+            raise AssertionError("no calibration or worker may start past the bound")
+
+        monkeypatch.setattr(harness, "calibrate", never)
+        monkeypatch.setattr(harness, "_measure_once", never)
+        rc, out, err = run_cli(capsys, "bench", "--alpha", "0.5", *argv, "--k", "1", "--reps", "1")
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_spec_with_utf8_bom_on_stdin(self, capsys, monkeypatch):
@@ -709,6 +740,14 @@ class TestFixtures:
         rc, out, err = run_cli(capsys, "fixtures", "export", fixture_id, "--format", "table")
         assert (rc, out) == (2, "")
         assert err == "error: unknown measurement format 'table' (expected csv or json)\n"
+
+    def test_published_value_that_is_not_a_number_is_data_error(self, capsys, monkeypatch):
+        doc = {"id": "audio_radar", "description": "d", "verifiable": False, "series": [],
+               "published_serial_fraction": {"a": [[2, "0.5"]]}}
+        monkeypatch.setattr(dataio, "_read_bundled", lambda name: json.dumps(doc))
+        rc, out, err = run_cli(capsys, "fixtures", "show", "audio_radar")
+        assert (rc, out) == (2, "")
+        assert err == "error: 'a': published serial fraction must be a number, got '0.5'\n"
 
     def test_unknown_action_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -6,6 +6,7 @@ numbers: e.g. k=8 at 87% efficiency gives speedup 6.96, effective
 parallelization (8/7)(1 - 1/6.96) = 596/609, serial fraction 13/609.
 """
 
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -431,6 +432,32 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="ascending"):
             ScalingReport("x", rows)
 
+    def test_row_look_alike_refused_before_its_k_is_read(self):
+        class LookAlike(collections.namedtuple("LookAlike", dataio._ROW_FIELDS)):
+            @property
+            def k(self):
+                raise AssertionError("k read before the row's type was checked")
+
+        row = LookAlike(2, 1.5, 0.75, 0.6666666666666667, 0.33333333333333326, "normal")
+        with pytest.raises(ValueError) as info:
+            ScalingReport("x", (metrics.MetricRow(1, 1.0), row))
+        assert str(info.value) == "report rows must be metrics.MetricRow instances"
+
+    def test_fitted_dict_refused(self):
+        rows = (metrics.MetricRow(1, 1.0), metrics.MetricRow(2, 1.5))
+        with pytest.raises(ValueError) as info:
+            ScalingReport("x", rows, {"alpha": 0.5, "residual": 0.0})
+        assert str(info.value) == ("fitted must be None or a metrics.FitResult, "
+                                   "got {'alpha': 0.5, 'residual': 0.0}")
+
+    def test_refusals_come_in_field_order(self):
+        unsorted = (metrics.MetricRow(2, 1.5), metrics.MetricRow(1, 1.0))
+        for args, message in (((7, ("row",), {}), "report label must be a string"),
+                              (("x", ("row",), {}), "report rows must be"),
+                              (("x", unsorted, {}), "sorted by strictly ascending k")):
+            with pytest.raises(ValueError, match=message):
+                ScalingReport(*args)
+
     @settings(max_examples=300, deadline=None)
     @given(series=_any_series())
     @example(series=MeasurementSeries("edge", ((1, 1.0), (2**53 + 3, float(2**53 + 4))),
@@ -675,6 +702,13 @@ class TestFixtures:
         with pytest.raises(ValueError) as info:
             Fixture("f", "d", (), {"x": ((k, 0.01),)}, verifiable=False)
         assert str(info.value) == f"'x': published k must be >= 1, got {shown}"
+
+    @pytest.mark.parametrize("value", ["0.5", True, b"1", 10**400, None],
+                             ids=["str", "bool", "bytes", "int-past-float", "none"])
+    def test_published_value_must_be_a_number(self, value):
+        with pytest.raises(ValueError) as info:
+            Fixture("x", "d", (), {"a": [(1, value)]}, False)
+        assert str(info.value) == f"'a': published serial fraction must be a number, got {value!r}"
 
     def test_published_int_value_reads_as_float(self):
         pairs = dict(load_fixture("audio_radar").published_serial_fraction["Audio stream 2"])
@@ -1274,10 +1308,11 @@ class TestReportWriters:
             _assert_writers_match_per_cell(reports)
 
     @pytest.mark.parametrize("label", [["a"], ("a", "b"), {"x": [1]}, [], 7, None])
-    def test_json_of_labels_that_are_not_strings(self, label):
-        # ScalingReport does not check its label; JSON writes any it can carry.
-        _assert_json_matches_per_cell(
-            [ScalingReport(label, (metrics.MetricRow(1, 1.0), metrics.MetricRow(2, 1.5)))])
+    def test_labels_that_are_not_strings_refused(self, label):
+        # No writer is reached: a report holds only what every writer carries.
+        with pytest.raises(ValueError) as info:
+            ScalingReport(label, (metrics.MetricRow(1, 1.0), metrics.MetricRow(2, 1.5)))
+        assert str(info.value) == f"report label must be a string, got {label!r}"
 
 
 @pytest.mark.usefixtures("no_c_encoder")

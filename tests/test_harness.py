@@ -157,6 +157,7 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(target)
 
+    @pytest.mark.host_timing
     def test_achieves_target_within_twenty_percent(self):
         target = 0.06
         units = calibrate(target)
@@ -164,6 +165,7 @@ class TestCalibrate:
         best = min(harness._timed_spin(units) for _ in range(3))
         assert 0.8 * target <= best <= 1.2 * target
 
+    @pytest.mark.host_timing
     def test_spin_scales_linearly(self):
         units = calibrate(0.04)
         # Alternate the two sizes, as the harness alternates k, so a drift
@@ -227,6 +229,7 @@ def _leaves_nothing_behind():
 
 
 class TestRunSynthetic:
+    @pytest.mark.host_timing
     def test_all_serial_workload_keeps_unit_speedup(self):
         # With nothing to parallelize, extra workers only add release
         # cost; the measured speedup must stay within 10% of 1.
@@ -367,6 +370,7 @@ class TestRunSynthetic:
         assert [set(mask) for _, mask in calls] == [{cpu}]
 
     @multi_cpu
+    @pytest.mark.host_timing
     def test_parallel_workload_speeds_up(self):
         w = SyntheticWorkload(1.0, calibrate(0.3), k_list=(1, 2),
                               repetitions=3)
@@ -375,6 +379,7 @@ class TestRunSynthetic:
         assert 1.6 <= row.speedup <= 2.0, _side_by_side(w, series.points, 0.3)
 
     @multi_cpu
+    @pytest.mark.host_timing
     def test_control_overhead_lowers_measured_alpha(self):
         # The modelled gap (alpha_eff 0.5 vs 0.4 at k=2, see TestPlan) is
         # smaller than a shared host's speed drift over a few seconds, so
@@ -478,6 +483,18 @@ class TestWorkloadFromSpec:
         ({"alpha": 0.5, "total_ms": math.inf}, "total_ms must be positive and finite, got inf"),
         ({"alpha": 0.5, "total_ms": 20, "k_list": [4 * available_processors() + 1]},
          "exceeds the hard cap"),
+        ({"alpha": 0.5, "total_ms": 1e6},
+         r"total_ms must lie in \[0.001, 60000\] milliseconds, got 1000000.0$"),
+        ({"alpha": 0.5, "total_ms": 60_001},
+         r"total_ms must lie in \[0.001, 60000\] milliseconds, got 60001$"),
+        ({"alpha": 0.5, "total_ms": 0.0009},
+         r"total_ms must lie in \[0.001, 60000\] milliseconds, got 0.0009$"),
+        ({"alpha": 0.5, "total_ms": 1, "overhead": 1e200},
+         "overhead 1e[+]200 makes the modelled k=1 run 5e[+]199 ms, past the 60000 ms bound"),
+        ({"alpha": 1, "total_ms": 60_000, "overhead": 1e-9}, "overhead 1e-09 makes"),
+        ({"alpha": 1.5, "total_ms": 1e6}, "alpha_target"),
+        ({"alpha": 0.5, "total_ms": 1e6, "k_list": [4 * available_processors() + 1]},
+         "total_ms must lie in"),
     ])
     def test_fields_checked_before_calibrating(self, monkeypatch, spec, message):
         def calibrate(seconds):
@@ -486,6 +503,18 @@ class TestWorkloadFromSpec:
         monkeypatch.setattr(harness, "calibrate", calibrate)
         with pytest.raises(ValueError, match=message):
             workload_from_spec(spec)
+
+    @pytest.mark.parametrize("spec", [
+        {"alpha": 0.5, "total_ms": 0.001},
+        {"alpha": 0.5, "total_ms": 60_000},
+        {"alpha": 0.0, "total_ms": 60_000, "overhead": 1e200},
+        {"alpha": 0.5, "total_ms": 30_000, "overhead": 2},
+    ], ids=["shortest", "longest", "no-chunk-to-control", "overhead-at-the-bound"])
+    def test_runs_within_the_bound_are_calibrated(self, monkeypatch, spec):
+        asked = []
+        monkeypatch.setattr(harness, "calibrate", lambda seconds: asked.append(seconds) or 1000)
+        assert workload_from_spec(spec).total_work == 1000
+        assert asked == [spec["total_ms"] / 1000.0]
 
 
 # --------------------------------------------------------------- processors

@@ -539,6 +539,18 @@ def test_regime_matches_definition(k, s):
         assert a.regime == NORMAL
 
 
+class TestFitResult:
+    @pytest.mark.parametrize("model, residual, message", [
+        (0.5, 0.0, "model must be an AmdahlModel, got 0.5"),
+        (AmdahlModel(0.5), "0.1", "residual must be a number, got '0.1'"),
+        (AmdahlModel(0.5), True, "residual must be a number, got True"),
+    ], ids=["bare-alpha", "str-residual", "bool-residual"])
+    def test_refuses_what_the_report_writers_cannot_carry(self, model, residual, message):
+        with pytest.raises(ValueError) as info:
+            metrics.FitResult(model, residual)
+        assert str(info.value) == message
+
+
 # ------------------------------------------------------ the one count rule
 
 def test_count_rule_edges():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from alphaeff import metrics
+from alphaeff import metrics, timeline
 from alphaeff.timeline import (
     LPT,
     ROUND_ROBIN,
@@ -372,6 +372,29 @@ class TestSweepSurface:
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
             sweep_surface((0.0, 0.8), (0.0, 0.6), 1, 3, 0.25)
+
+    @pytest.mark.parametrize("steps", [3163, 20_000, sys.maxsize])
+    def test_grid_past_the_cell_cap_refused_before_any_axis(self, monkeypatch, steps):
+        def never(*args):
+            raise AssertionError("an axis was built past the cell cap")
+
+        monkeypatch.setattr(timeline, "_linspace", never)
+        with pytest.raises(ValueError) as info:
+            sweep_surface((0.0, 0.8), (0.0, 0.6), steps, 3, 0.25)
+        assert str(info.value) == (f"steps must be at most 3162, got {steps} "
+                                   "(a grid holds at most 10,000,000 cells)")
+
+    def test_largest_grid_under_the_cell_cap_reaches_its_axes(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(timeline, "_linspace", reached)
+        assert 3162**2 <= timeline._MAX_SURFACE_CELLS < 3163**2
+        with pytest.raises(Reached):
+            sweep_surface((0.0, 0.8), (0.0, 0.6), 3162, 3, 0.25)
 
     @pytest.mark.parametrize("seq_range, overhead_range, message", [
         ((0, math.inf), (0.0, 0.6), "seq_range must be finite, got (0.0, inf)"),
