@@ -139,8 +139,9 @@ def cmd_surface(args) -> str:
     )
     if args.format == "json":
         return dataio._json_text(vars(grid))
+    overheads = list(map(repr, grid.overhead_values))
     blocks = (
-        (f"seq={seq:.6g}", "linear", "linear", zip(grid.overhead_values, row))
+        (f"seq={seq:.6g}", "linear", "linear", zip(overheads, map(repr, row)))
         for seq, row in zip(grid.seq_values, grid.alpha)
     )
     return dataio._plot_text(blocks)

@@ -165,7 +165,8 @@ class ScalingReport:
     Refuses, in field order, a label that is not a ``str``, a row that is
     not a ``metrics.MetricRow``, rows out of strictly ascending k, and a
     ``fitted`` that is neither None nor a ``metrics.FitResult``, so every
-    report writer can write what it holds.
+    report writer can write what it holds.  The writers' text of its rows
+    (see ``_row_texts``) is kept on the instance but is not a field, nor pickled.
     """
 
     label: str
@@ -184,6 +185,9 @@ class ScalingReport:
         if not (self.fitted is None or isinstance(self.fitted, metrics.FitResult)):
             raise ValueError(f"fitted must be None or a metrics.FitResult, got {self.fitted!r}")
         object.__setattr__(self, "rows", rows)
+
+    def __getstate__(self):
+        return {"label": self.label, "rows": self.rows, "fitted": self.fitted}
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,12 +288,13 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 def _plot_text(blocks: Iterable[tuple[str, str, str, Iterable[tuple]]]) -> str:
     """The one plot-block layout, for ``(series, xscale, yscale, points)`` blocks.
 
-    Points are written as ``repr(x) repr(y)`` lines; see :func:`emit_plot_data`.
+    Points are ``(x, y)`` pairs of text, each written as an ``x y`` line;
+    the callers pass the ``repr`` of each number.  See :func:`emit_plot_data`.
     """
     texts = []
     for series, xscale, yscale, points in blocks:
         lines = [f"# series: {series}", f"# xscale: {xscale}", f"# yscale: {yscale}"]
-        lines.extend(f"{x!r} {y!r}" for x, y in points)
+        lines.extend(map(" ".join, points))
         texts.append("\n".join(lines))
     return "\n\n\n".join(texts) + "\n"
 
@@ -605,14 +610,6 @@ def scenario_fixture(name: str) -> timeline.Timeline:
     return parse_scenario(_read_bundled(f"scenario_{name}.json"))
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
 # The per-k fields of a report row, in the order every report format writes them.
 _ROW_FIELDS = ("k", "speedup", "efficiency", "alpha_eff", "serial_fraction", "regime")
 _row_values = operator.attrgetter(*_ROW_FIELDS)
@@ -625,9 +622,36 @@ def _row_columns(reports: Sequence[ScalingReport]) -> tuple[list[str], list[tupl
     return labels, list(zip(*map(_row_values, rows))) or [()] * len(_ROW_FIELDS)
 
 
+def _row_texts(report: ScalingReport) -> tuple[list, ...]:
+    """The report's rows as text, one sequence per _ROW_FIELDS column; made once per report.
+
+    k is written by ``int.__repr__``, every float by ``float.__repr__``
+    and an int speedup by ``int.__repr__``: the text ``json.dumps`` writes,
+    and for a plain int or float the text ``csv`` writes too.  A missing
+    value stays None.  The CSV, JSON and plot writers all read these texts.
+    """
+    texts = report.__dict__.get("_texts")
+    if texts is None:
+        ks, speedups, efficiencies, alphas, serials, regimes = (
+            list(zip(*map(_row_values, report.rows))) or [()] * len(_ROW_FIELDS))
+        try:
+            speedups = list(map(float.__repr__, speedups))
+        except TypeError:  # an int speedup
+            speedups = [(float if isinstance(s, float) else int).__repr__(s) for s in speedups]
+        # Only a k = 1 row, which sorts first, has no alpha_eff and serial fraction.
+        none = [None] if ks[:1] == (1,) else []
+        texts = report.__dict__["_texts"] = (
+            list(map(int.__repr__, ks)), speedups, list(map(float.__repr__, efficiencies)),
+            none + list(map(float.__repr__, alphas[len(none):])),
+            none + list(map(float.__repr__, serials[len(none):])), regimes)
+    return texts
+
+
 def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[str]:
-    labels, columns = _row_columns(reports)
-    cells = [labels, *(map(_fmt_cell, values) for values in columns)]
+    labels, (ks, *numbers, regimes) = _row_columns(reports)
+    cells = [labels, map(int.__repr__, ks), *(
+        ["-" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v) for v in column]
+        for column in numbers), regimes]
     padded = []
     for name, column in zip(("label", *_ROW_FIELDS), cells):
         column = [name, *column]
@@ -643,36 +667,45 @@ def _table_lines(reports: Sequence[ScalingReport], include_fit: bool) -> list[st
     return lines
 
 
-_SORTED_ROW_FIELDS = tuple(sorted(_ROW_FIELDS))
-_sorted_row_values = operator.attrgetter(*_SORTED_ROW_FIELDS)
 # A report is {"fitted", "label", "rows"} two levels in: split its
 # template at the rows, a list of records three levels in.
 _REPORT_HEAD, _REPORT_TAIL = _record_template(("fitted", "label", "rows"), 2).rsplit("%s", 1)
 _REPORT_HEADS = (_REPORT_HEAD % ("%s", "%s"),
                  _REPORT_HEAD % (_record_template(("alpha", "residual"), 3), "%s"))
-_ROW_TEMPLATE = _record_template(_SORTED_ROW_FIELDS, 4)
+# A row's cells in key order: alpha_eff, efficiency, k, regime, serial_fraction, speedup.
+_ROW_TEMPLATE = _record_template(sorted(_ROW_FIELDS), 4)
+_JSON_REGIMES = {r: json.dumps(r) for r in (metrics.NORMAL, metrics.SLOWDOWN, metrics.SUPERLINEAR)}
+_NON_FINITE_TEXTS = frozenset(("inf", "-inf", "nan"))
 
 
 def _reports_json(reports: Sequence[ScalingReport]) -> str:
-    """``_json_text({"reports": [...]})`` of the reports, from one %-template.
+    """``_json_text({"reports": [...]})`` of the reports, from one %-template per report.
 
-    Every scalar of the document, in document order, goes through one
+    The rows are written from the report's texts (see :func:`_row_texts`),
+    which hold no ``%``, so each report's row list goes into its template
+    as it is.  The fits and labels, in document order, go through one
     ``json.dumps`` call; no encoded scalar holds its newline item separator,
-    so the text splits on it into the values of the template.  ScalingReport
-    and FitResult hold only strings, numbers and None: every value is a scalar.
+    so the text splits on it into the values of the templates.
     """
     if not reports:
         return '{\n  "reports": []\n}\n'
     values, templates = [], []
     for report in reports:
-        fitted, rows = report.fitted, report.rows
+        fitted = report.fitted
         if fitted is None:
             values += (None, report.label)
         else:
             values += (fitted.model.alpha, fitted.residual, report.label)
-        values += chain.from_iterable(map(_sorted_row_values, rows))
-        row_list = "[\n        " + ",\n        ".join(repeat(_ROW_TEMPLATE, len(rows))) + "\n      ]"
-        templates.append(_REPORT_HEADS[fitted is not None] + (row_list if rows else "[]") + _REPORT_TAIL)
+        ks, speedups, efficiencies, alphas, serials, regimes = _row_texts(report)
+        # A speedup is finite and so is speedup / k, but not alpha_eff: s = 5e-324 gives -inf.
+        if not _NON_FINITE_TEXTS.isdisjoint(chain(alphas, serials)):
+            raise DataFormatError(_NON_FINITE)
+        if alphas and alphas[0] is None:
+            alphas, serials = ["null", *alphas[1:]], ["null", *serials[1:]]
+        rows = ",\n        ".join(map(_ROW_TEMPLATE.__mod__, zip(
+            alphas, efficiencies, ks, map(_JSON_REGIMES.__getitem__, regimes), serials, speedups)))
+        templates.append(_REPORT_HEADS[fitted is not None]
+                         + ("[\n        " + rows + "\n      ]" if rows else "[]") + _REPORT_TAIL)
     try:
         cells = json.dumps(values, separators=(",\n", ": "), allow_nan=False)[1:-1].split(",\n")
     except ValueError:
@@ -698,11 +731,12 @@ def emit_reports(reports, format: str = "table", include_fit: bool = False) -> s
         return "\n".join(_table_lines(reports, include_fit)) + "\n"
     if fmt == "csv":
         # A measurement CSV of speedups: "speedup" becomes "value", then "kind".
-        labels, (ks, speedups, *derived) = _row_columns(reports)
-        return _csv_text(
-            _REQUIRED_COLUMNS + _ROW_FIELDS[2:],
-            zip(labels, ks, speedups, repeat(ValueKind.SPEEDUP.value), *derived),
-        )
+        rows = []
+        for report in reports:
+            ks, speedups, *derived = _row_texts(report)
+            rows.append(zip(repeat(report.label), ks, speedups, repeat(ValueKind.SPEEDUP.value),
+                            *derived))
+        return _csv_text(_REQUIRED_COLUMNS + _ROW_FIELDS[2:], chain.from_iterable(rows))
     if fmt == "json":
         return _reports_json(reports)
     raise ValueError(f"unknown report format {format!r} (expected table, csv or json)")
@@ -732,8 +766,8 @@ def emit_plot_data(reports, y_axis: str = "efficiency", xscale: str | None = Non
     axis = y_axis.strip().lower()
     if axis not in ("efficiency", "serial-fraction"):
         raise ValueError(f"unknown y_axis {y_axis!r} (expected efficiency or serial-fraction)")
-    all_k = [row.k for report in reports for row in report.rows]
-    max_k = max(all_k) if all_k else 1
+    # Rows are sorted by k, so a report's last row has its largest k.
+    max_k = max((report.rows[-1].k for report in reports if report.rows), default=1)
     if xscale is None:
         xscale = "log" if (axis == "efficiency" or max_k >= 16) else "linear"
     if yscale is None:
@@ -742,12 +776,11 @@ def emit_plot_data(reports, y_axis: str = "efficiency", xscale: str | None = Non
         if scale not in ("log", "linear"):
             raise ValueError(f"{name} must be log or linear, got {scale!r}")
 
-    # The k=1 row has no serial fraction, so that axis skips it.
-    point = operator.attrgetter("k", axis.replace("-", "_"))
-    return _plot_text(
-        (report.label, xscale, yscale, [p for p in map(point, report.rows) if p[1] is not None])
-        for report in reports
-    )
+    # The k=1 row has no serial fraction (None), so that axis skips it.
+    xy = operator.itemgetter(0, _ROW_FIELDS.index(axis.replace("-", "_")))
+    has_y = operator.itemgetter(1)
+    return _plot_text((report.label, xscale, yscale, filter(has_y, zip(*xy(_row_texts(report)))))
+                      for report in reports)
 
 
 def emit_published_serial_fractions(fixture: Fixture) -> str:

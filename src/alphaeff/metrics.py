@@ -278,6 +278,10 @@ def fit_alpha(points) -> FitResult:
         points = points.speedup_points()
     usable = []  # (k, s, x) with x = (k - 1)/k
     for k, s in points:
+        # No check refuses such a point, and such a k converts to float exactly.
+        if type(k) is int and 2 <= k <= 2**53 and type(s) is float and 0.0 < s < math.inf:
+            usable.append((k, s, (k - 1.0) / k))
+            continue
         k = _check_finite("k", k)
         s = _check_finite("speedup", s)
         if s <= 0.0:

@@ -7,12 +7,15 @@ parallelization (8/7)(1 - 1/6.96) = 596/609, serial fraction 13/609.
 """
 
 import collections
+import copy
 import csv
 import dataclasses
+import enum
 import hashlib
 import io
 import json
 import math
+import pickle
 import sys
 
 import pytest
@@ -1248,6 +1251,8 @@ _REPORT_SPEEDUPS = st.one_of(
     st.floats(min_value=0.5, max_value=20.0),
     st.integers(min_value=1, max_value=20),
     st.integers(min_value=10**6, max_value=10**300),
+    # Tiny speedups: alpha_eff reads -inf or about -1/s, the serial fraction inf or about 1/s.
+    st.just(5e-324), st.floats(min_value=5e-324, max_value=1e-308),
 )
 
 
@@ -1315,6 +1320,114 @@ class TestReportWriters:
         assert str(info.value) == f"report label must be a string, got {label!r}"
 
 
+# ------------------------------------- the texts the report writers share
+
+_WRITERS = {
+    "table": lambda reports: emit_reports(reports, "table", include_fit=True),
+    "csv": lambda reports: emit_reports(reports, "csv"),
+    "json": lambda reports: emit_reports(reports, "json"),
+    "plot": lambda reports: emit_plot_data(reports, "efficiency"),
+    "plot-serial": lambda reports: emit_plot_data(reports, "serial-fraction"),
+}
+_WRITER_ORDERS = [
+    ("json", "csv", "plot", "plot-serial", "table"),
+    ("plot", "csv", "json", "table", "plot-serial"),
+    ("csv", "plot-serial", "table", "json", "plot"),
+    ("table", "plot-serial", "json", "plot", "csv"),
+]
+
+
+def _written(writer, reports):
+    """A writer's text, or the type and message of its error."""
+    try:
+        return _WRITERS[writer](reports)
+    except ValueError as exc:  # JSON's non-finite error; plot data of no reports
+        return type(exc), str(exc)
+
+
+def _fresh(reports):
+    return [ScalingReport(r.label, r.rows, r.fitted) for r in reports]
+
+
+def _assert_texts_unseen(reports):
+    """Writers in any order give what each gives on a fresh report, and leave no trace."""
+    expected = {writer: _written(writer, _fresh(reports)) for writer in _WRITERS}
+    for order in _WRITER_ORDERS:
+        written = _fresh(reports)
+        for writer in order + order:
+            assert _written(writer, written) == expected[writer]
+        for report, fresh in zip(written, _fresh(reports)):
+            assert report == fresh and hash(report) == hash(fresh)
+            assert repr(report) == repr(fresh)
+            assert dataclasses.fields(report) == dataclasses.fields(fresh)
+            assert [getattr(report, f.name) for f in dataclasses.fields(report)] == [
+                getattr(fresh, f.name) for f in dataclasses.fields(fresh)]
+            assert vars(dataclasses.replace(report)) == vars(fresh)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.dumps(report, protocol) == pickle.dumps(fresh, protocol)
+                assert vars(pickle.loads(pickle.dumps(report, protocol))) == vars(fresh)
+            assert vars(copy.copy(report)) == vars(fresh)
+
+
+class _IntK(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class _NamedCount(int):
+    def __repr__(self):
+        return f"<count {int(self)}>"
+
+    __str__ = __repr__
+
+
+class _NamedFloat(float):
+    def __repr__(self):
+        return f"<speedup {float(self)}>"
+
+
+class TestSharedTexts:
+    @settings(max_examples=150, deadline=None)
+    @given(reports=_REPORT_LISTS)
+    def test_writers_in_any_order_match_a_fresh_report(self, reports):
+        _assert_texts_unseen(reports)
+
+    @pytest.mark.parametrize("first", [None, "table", "csv", "json", "plot", "plot-serial"])
+    def test_non_finite_row_numbers(self, first):
+        # s = 5e-324: alpha_eff is -inf, the serial fraction inf, efficiency 0.
+        report = ScalingReport("x", (metrics.MetricRow(2, 5e-324),))
+        if first is not None:
+            _written(first, [report])  # fills the report's texts, or raises after
+        assert emit_report(report, "csv") == (
+            "label,k,value,kind,efficiency,alpha_eff,serial_fraction,regime\n"
+            "x,2,5e-324,speedup,0.0,-inf,inf,slowdown\n")
+        assert emit_plot_data(report, "serial-fraction").splitlines()[-1] == "2 inf"
+        assert emit_plot_data(report, "efficiency").splitlines()[-1] == "2 0.0"
+        with pytest.raises(DataFormatError) as info:
+            emit_report(report, "json")
+        assert str(info.value) == _NON_FINITE_MESSAGE
+        # A finite report in the same call does not hide it, before or after.
+        finite = ScalingReport("y", (metrics.MetricRow(1, 1.0), metrics.MetricRow(2, 1.5)))
+        for reports in ([finite, report], [report, finite]):
+            with pytest.raises(DataFormatError):
+                emit_reports(reports, "json")
+
+    @pytest.mark.parametrize("ks", [(_IntK.ONE, _IntK.TWO), (_NamedCount(1), _NamedCount(2))],
+                             ids=["IntEnum", "named-repr"])
+    def test_int_subclass_k_is_written_as_its_int(self, ks):
+        rows = (metrics.MetricRow(ks[0], 1.0), metrics.MetricRow(ks[1], 1.5))
+        plain = [ScalingReport("x", (metrics.MetricRow(1, 1.0), metrics.MetricRow(2, 1.5)))]
+        for writer in _WRITERS:
+            assert _WRITERS[writer]([ScalingReport("x", rows)]) == _WRITERS[writer](plain)
+
+    def test_number_subclass_speedup_is_written_as_its_number(self):
+        # The CSV used to write the subclass's own repr or str, which JSON never did.
+        rows = (metrics.MetricRow(1, _NamedFloat(1.0)), metrics.MetricRow(2, _NamedCount(2)))
+        plain = [ScalingReport("x", (metrics.MetricRow(1, 1.0), metrics.MetricRow(2, 2)))]
+        for writer in ("csv", "json"):
+            assert _WRITERS[writer]([ScalingReport("x", rows)]) == _WRITERS[writer](plain)
+
+
 @pytest.mark.usefixtures("no_c_encoder")
 class TestPropertiesWithoutCEncoder:
     """TestJsonText's and TestReportWriters' properties through the JSON fallback."""
@@ -1330,6 +1443,12 @@ class TestPropertiesWithoutCEncoder:
     @given(reports=_REPORT_LISTS)
     def test_table_and_csv_match_the_per_cell_writer(self, reports):
         _assert_writers_match_per_cell(reports)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(reports=_REPORT_LISTS)
+    def test_writers_in_any_order_match_a_fresh_report(self, reports):
+        _assert_texts_unseen(reports)
 
 
 # --------------------------------------- emit_published_serial_fractions

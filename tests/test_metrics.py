@@ -11,7 +11,7 @@ import pickle
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphaeff import dataio, harness, metrics, timeline
@@ -317,6 +317,25 @@ def _series(points):
     return _Stub()
 
 
+class _Count(int):
+    pass
+
+
+# Every kind of k and speedup a caller can pass: counts around 2**53 and
+# past the float range, bools, subclasses, strings float() reads or not,
+# and floats that are not finite or not positive.
+_FIT_KS = st.one_of(
+    st.integers(-3, 70), st.integers(2**53 - 2, 2**53 + 2), st.integers(-(10**400), 10**400),
+    st.booleans(), st.floats(), st.builds(_Count, st.integers(-3, 70)),
+    st.sampled_from([EffectiveParallelization(3.0), "4", "x"]),
+)
+_FIT_SPEEDUPS = st.one_of(
+    st.floats(), st.floats(min_value=5e-324, max_value=1e308), st.integers(-3, 10**400),
+    st.booleans(), st.builds(EffectiveParallelization, st.floats(0.5, 20.0)),
+    st.sampled_from([0.0, -0.0, 5e-324, "2.5", "x"]),
+)
+
+
 class TestFitAlpha:
     def test_exact_recovery(self):
         ks = (2, 4, 8, 16)
@@ -383,6 +402,56 @@ class TestFitAlpha:
     def test_accepts_plain_pairs(self):
         result = fit_alpha([(2, amdahl_speedup(0.5, 2)), (8, amdahl_speedup(0.5, 8))])
         assert result.model.alpha == pytest.approx(0.5, abs=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(points=st.one_of(st.lists(st.tuples(_FIT_KS, _FIT_SPEEDUPS), max_size=6),
+                            st.lists(st.tuples(st.integers(-2, 2**53 + 2),
+                                               st.floats(min_value=5e-324, max_value=1e308)),
+                                     max_size=6)))
+    @example(points=[(2, 1.5), (4, math.inf)])
+    @example(points=[(2, 1.5), (4, math.nan)])
+    @example(points=[(2, 1.5), (-(10**400), 1.5)])
+    @example(points=[(2**53 + 1, 1.5), (3, 2.0)])
+    @example(points=[(2, 1.5), (3, 2)])
+    def test_same_bits_or_error_as_checking_every_point(self, points):
+        assert _fit_outcome(fit_alpha, points) == _fit_outcome(_fit_alpha_checking_every_point,
+                                                               points)
+
+
+def _fit_alpha_checking_every_point(points):
+    """fit_alpha as it was, with every check run on every point: the oracle."""
+    if hasattr(points, "speedup_points"):
+        points = points.speedup_points()
+    usable = []
+    for k, s in points:
+        k = metrics._check_finite("k", k)
+        s = metrics._check_finite("speedup", s)
+        if s <= 0.0:
+            raise ValueError(f"speedup must be positive, got {s}")
+        if k >= 2:
+            usable.append((k, s, (k - 1.0) / k))
+    if not usable:
+        raise ValueError("no points with k >= 2 to fit")
+    try:
+        sxy = math.fsum(x * (1.0 - 1.0 / s) for k, s, x in usable)
+    except OverflowError:
+        sxy = -math.inf
+    sxx = math.fsum(x ** 2 for k, s, x in usable)
+    alpha = min(1.0, max(0.0, sxy / sxx))
+    try:
+        residual = math.fsum((1.0 / s - ((1.0 - alpha) + alpha / k)) ** 2 for k, s, x in usable)
+    except OverflowError:
+        residual = math.inf
+    return metrics.FitResult(AmdahlModel(alpha), residual)
+
+
+def _fit_outcome(fit, points):
+    """The bits of the fit's alpha and residual, or its error's type and message."""
+    try:
+        result = fit(points)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result.model.alpha.hex(), result.residual.hex()
 
 
 # -------------------------------------------------------------- MetricRow
