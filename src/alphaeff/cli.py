@@ -15,7 +15,7 @@ import argparse
 import sys
 import warnings
 
-from . import dataio, harness, metrics, timeline
+from . import __version__, dataio, harness, metrics, timeline
 
 __all__ = ["main", "build_parser"]
 
@@ -220,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="alphaeff",
         description="Effective-parallelization analysis of strong-scaling measurements.",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("analyze", help="derive per-k scaling metrics from measurements")

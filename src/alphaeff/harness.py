@@ -103,9 +103,15 @@ def calibrate(target_duration: float) -> int:
     """Find a spin-unit count that runs for about ``target_duration`` seconds.
 
     Probes the host's spin rate, then refines from the fastest of three
-    spins at the target size, the statistic the harness reports.
-    The result is approximate by nature (scheduler noise, frequency
-    scaling); expect the achieved time within roughly 20% of the target.
+    spins at the target size, the statistic the harness reports.  The
+    probe starts at 1,024 units and stops at its first spin that lasts
+    the floor, max(5 ms, 1000 x the timer's resolution).  After each
+    shorter spin it multiplies its size by what that spin predicts for
+    1.5 floors, clamped to [2, 64] so that a reading near zero still
+    grows it geometrically; at a steady spin rate the probe's spins add
+    up to less than four floors.  The result is approximate by nature
+    (scheduler noise, frequency scaling); expect the achieved time
+    within roughly 20% of the target.
     Raises ValueError for a non-positive target, one too close to the
     timer's resolution to measure, or one the probe shows would need
     more than 2**53 units, before any spin at the target size.
@@ -119,13 +125,10 @@ def calibrate(target_duration: float) -> int:
             f"timer resolution ({resolution:g}s) too coarse for target {target_duration:g}s"
         )
 
-    units = 200_000
-    while True:
-        elapsed = _timed_spin(units)
-        # Keep growing the probe until it is comfortably measurable.
-        if elapsed >= max(0.005, 1000.0 * resolution):
-            break
-        units *= 4
+    floor = max(0.005, 1000.0 * resolution)
+    units = 1024
+    while (elapsed := _timed_spin(units)) < floor:
+        units *= min(64, max(2, math.ceil(1.5 * floor / max(elapsed, resolution))))
     estimate = units * target_duration / elapsed
     if not estimate <= 2**53:
         raise ValueError(f"target {target_duration:g}s needs more than 2**53 spin units on this host")

@@ -23,6 +23,15 @@ _CRITERIA = {
 _PATTERN = re.compile(r"test_criterion_(\d+)")
 
 
+def pytest_report_header(config):
+    """Name the package under test: ``pythonpath = ["src"]`` puts this
+    checkout's ``src`` ahead of ``PYTHONPATH``, so run each tree's tests
+    from inside that tree."""
+    import alphaeff
+
+    return f"alphaeff under test: {alphaeff.__file__}"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one PASS/FAIL/SKIP line per acceptance criterion."""
     buckets = defaultdict(set)

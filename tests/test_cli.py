@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alphaeff
 from alphaeff import dataio, harness, metrics, timeline
 from alphaeff.cli import main
 
@@ -886,6 +887,12 @@ class TestJsonWithoutCEncoder:
 # ------------------------------------------------------------------ plumbing
 
 class TestPlumbing:
+    def test_version_prints_package_version(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--version"])
+        assert exc_info.value.code == 0
+        assert capsys.readouterr() == (f"alphaeff {alphaeff.__version__}\n", "")
+
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main([])

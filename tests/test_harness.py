@@ -9,6 +9,7 @@ import contextlib
 import math
 import os
 import signal
+import time
 
 import pytest
 
@@ -187,6 +188,37 @@ class TestCalibrate:
         monkeypatch.setattr(harness, "_timed_spin", bounded)
         with pytest.raises(ValueError, match=r"needs more than 2\*\*53 spin units"):
             calibrate(target)
+
+    @staticmethod
+    def _fake_spin(monkeypatch, rate, reads_zero_below=0):
+        """Make every spin read ``units / rate`` seconds (0.0 below a size) and record its size."""
+        calls = []
+
+        def fake(units):
+            calls.append(units)
+            return 0.0 if units < reads_zero_below else units / rate
+
+        monkeypatch.setattr(harness, "_timed_spin", fake)
+        return calls
+
+    @pytest.mark.parametrize("rate", [1e5, 1e6, 1e7, 1e8, 1e9, 1e10])
+    def test_probe_stops_at_its_floor_within_four_floors(self, monkeypatch, rate):
+        floor = max(0.005, 1000.0 * time.get_clock_info("perf_counter").resolution)
+        calls = self._fake_spin(monkeypatch, rate)
+        assert calibrate(0.001) == round(0.001 * rate)
+        probes, refinement = calls[:-3], calls[-3:]
+        assert len(set(refinement)) == 1
+        # Every probe but the last reads below the floor; at 1e5 units/s
+        # the first, 1,024 units, already lasts it, so it is the only one.
+        assert [units / rate >= floor for units in probes] == [False] * (len(probes) - 1) + [True]
+        assert probes[0] == 1024 and (len(probes) == 1) == (rate == 1e5)
+        assert sum(probes) / rate <= 4 * floor
+
+    def test_probe_reading_zero_still_grows_geometrically(self, monkeypatch):
+        calls = self._fake_spin(monkeypatch, 1e9, reads_zero_below=10_000)
+        assert calibrate(0.001) == round(0.001 * 1e9)
+        probes = calls[:-3]
+        assert [b / a for a, b in zip(probes, probes[1:])] == [64, 64, 2]
 
     def test_spin_is_deterministic(self):
         assert harness._spin(1000) == harness._spin(1000)
